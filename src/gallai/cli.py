@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
-from math import log2
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import isfinite, log2
 from pathlib import Path
 
 from . import containers, counting, extremal, stability, templates
@@ -18,29 +19,26 @@ from .errors import (InvalidInputError, InvalidParameterError, ParseError,
                      ResourceLimitError)
 from .graphs import Graph, complete, graph_from_name, graph6_encode
 
-CONFIG_INT_KEYS = ("leaf_budget", "node_budget", "thread_fanout_depth", "sample_size")
+CONFIG_INT_KEYS = ("leaf_budget", "node_budget", "sample_size")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     leaf_budget: int = counting.DEFAULT_LEAF_BUDGET
     node_budget: int = counting.DEFAULT_NODE_BUDGET
-    thread_fanout_depth: int = 0
     cache_path: str | None = None
     sample_size: int = containers.DEFAULT_SAMPLE_SIZE
     container_c: float = containers.DEFAULT_C_CAP
-    n0_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for key in CONFIG_INT_KEYS:
-            if getattr(self, key) < (0 if key == "thread_fanout_depth" else 1):
+            if getattr(self, key) < 1:
                 raise InvalidInputError(f"config value {key} must be positive")
 
 
 def load_config(path) -> RunConfig:
     """Parse a flat key=value file; unknown keys are rejected."""
     values: dict = {}
-    overrides: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -56,33 +54,23 @@ def load_config(path) -> RunConfig:
                 raise InvalidInputError(f"config key {key} needs an integer") from None
         elif key == "container_c":
             try:
-                values[key] = float(value)
-            except ValueError:
-                raise InvalidInputError("config key container_c needs a number") from None
+                values[key] = _finite_float(value)
+            except argparse.ArgumentTypeError as exc:
+                raise InvalidInputError(f"config key container_c: {exc}") from None
         elif key == "cache_path":
             values[key] = value
-        elif key.startswith("n0_"):
-            try:
-                overrides[key[3:]] = int(value)
-            except ValueError:
-                raise InvalidInputError(f"config key {key} needs an integer") from None
         else:
             raise InvalidInputError(f"unknown config key {key!r} on line {lineno}")
-    return RunConfig(n0_overrides=overrides, **values)
+    return RunConfig(**values)
 
 
 def _apply_flag_overrides(config: RunConfig, args) -> RunConfig:
     updates = {}
-    for key in ("leaf_budget", "node_budget", "thread_fanout_depth",
-                "cache_path", "sample_size", "container_c"):
+    for key in ("leaf_budget", "node_budget", "cache_path", "sample_size", "container_c"):
         value = getattr(args, key, None)
         if value is not None:
             updates[key] = value
     return replace(config, **updates) if updates else config
-
-
-def _load_graph(text: str) -> Graph:
-    return graph_from_name(text)
 
 
 def _load_template(path) -> templates.Template:
@@ -129,12 +117,11 @@ def _report_json(report: containers.PropertyReport) -> dict:
 
 
 def _cmd_count(args, config: RunConfig) -> dict:
-    graph = _load_graph(args.graph)
+    graph = graph_from_name(args.graph)
     if args.naive:
         count = counting.count_gallai_naive(graph, args.r, leaf_budget=config.leaf_budget)
     else:
-        count = counting.count_gallai(graph, args.r, node_budget=config.node_budget,
-                                      fanout_depth=config.thread_fanout_depth)
+        count = counting.count_gallai(graph, args.r, node_budget=config.node_budget)
     return {"graph": graph6_encode(graph), "n": graph.n, "edges": graph.edge_count,
             "r": args.r, "method": "naive" if args.naive else "pruned",
             "count": str(count)}
@@ -169,9 +156,8 @@ def _cmd_template(args, config: RunConfig) -> dict:
     if args.action == "classify":
         tally = templates.classify_triangles(template, args.mode)
         return {"mode": tally.mode, "counts": tally.as_dict(), "total": tally.total()}
-    graph = _load_graph(args.graph) if args.graph else complete(template.n)
-    count = templates.count_ga(template, graph, node_budget=config.node_budget,
-                               fanout_depth=config.thread_fanout_depth)
+    graph = graph_from_name(args.graph) if args.graph else complete(template.n)
+    count = templates.count_ga(template, graph, node_budget=config.node_budget)
     return {"n": template.n, "r": template.r, "graph": graph6_encode(graph),
             "count": str(count)}
 
@@ -198,7 +184,7 @@ def _cmd_hypergraph(args, config: RunConfig) -> dict:
 
 
 def _cmd_stability(args, config: RunConfig) -> dict:
-    graph = _load_graph(args.graph)
+    graph = graph_from_name(args.graph)
     if args.action == "monoedge":
         template = _load_template(args.template)
         coloring = _template_coloring(template, graph)
@@ -277,6 +263,26 @@ def _cmd_bounds(args, config: RunConfig) -> dict:
 # parser
 
 
+def _finite_float(text: str) -> float:
+    """Parse a float that is neither infinite nor NaN; NaN would slip past
+    every range check and reach stdout as non-JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> Fraction:
+    """Parse an exact rational such as 0.4 or 2/5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}") from None
+
+
 def _add_override_flags(parser: argparse.ArgumentParser, *, subcommand: bool) -> None:
     # on subparsers the defaults are suppressed so an absent flag never
     # clobbers a value the root parser already placed in the namespace
@@ -284,10 +290,9 @@ def _add_override_flags(parser: argparse.ArgumentParser, *, subcommand: bool) ->
     parser.add_argument("--config", default=d, help="flat key=value configuration file")
     parser.add_argument("--leaf-budget", dest="leaf_budget", type=int, default=d)
     parser.add_argument("--node-budget", dest="node_budget", type=int, default=d)
-    parser.add_argument("--fanout", dest="thread_fanout_depth", type=int, default=d)
     parser.add_argument("--cache", dest="cache_path", default=d)
     parser.add_argument("--sample-size", dest="sample_size", type=int, default=d)
-    parser.add_argument("--container-c", dest="container_c", type=float, default=d)
+    parser.add_argument("--container-c", dest="container_c", type=_finite_float, default=d)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,17 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["stats", "audit"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--tau", type=float)
+    p.add_argument("--tau", type=_finite_float)
 
     p = add_parser("stability", help="stability checks and peeling algorithms")
     p.add_argument("action", choices=["monoedge", "dichotomy", "books", "peel",
                                       "lowdeg", "supersat"])
     p.add_argument("--graph", required=True, help="graph6 or name")
     p.add_argument("--template", help="template file (monoedge, peel)")
-    p.add_argument("--eps", default="0.4", help="tolerance for monoedge")
-    p.add_argument("--alpha", type=float, default=1e-6, help="dichotomy parameter")
+    p.add_argument("--eps", type=_fraction, default="0.4", help="tolerance for monoedge")
+    p.add_argument("--alpha", type=_finite_float, default=1e-6, help="dichotomy parameter")
     p.add_argument("--threshold", type=int, default=1, help="book page minimum")
-    p.add_argument("--xi", default="0.1", help="peel parameter")
+    p.add_argument("--xi", type=_fraction, default="0.1", help="peel parameter")
     p.add_argument("--set", default="", help="comma-separated vertices for lowdeg")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--t", type=int, default=1)
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--c", type=float)
+    p.add_argument("--c", type=_finite_float)
     p.add_argument("--seed", type=int, default=0)
 
     p = add_parser("bounds", help="closed-form bounds for K_n")
@@ -386,7 +391,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         if isinstance(exc.partial, extremal.ExtremalTable):
-            print(json.dumps(_table_json(exc.partial), sort_keys=True))
+            print(json.dumps(_table_json(exc.partial), sort_keys=True, allow_nan=False))
         return 3
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -394,7 +399,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(result, sort_keys=True))
+    print(json.dumps(result, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -13,10 +13,8 @@ Counts are plain Python integers, so they never overflow or round.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, log2
 
 import numpy as np
@@ -257,23 +255,6 @@ class _Searcher:
         self.colors = colors
         self.meter = meter
 
-    def replay_prefix(self, prefix: tuple[int, ...]) -> bool:
-        """Apply pre-chosen color bits to the first positions; False when dead."""
-        for pos, bit in enumerate(prefix):
-            e = self.plan.order[pos]
-            if not self.cand[e] & bit:
-                return False
-            self.colors[e] = bit
-            for f, g in self.plan.narrow[pos]:
-                d = self.colors[f]
-                if d == bit:
-                    continue
-                new = self.cand[g] & (bit | d)
-                if not new:
-                    return False
-                self.cand[g] = new
-        return True
-
     def run(self, pos: int) -> int:
         plan = self.plan
         if pos == plan.tail_start:
@@ -319,35 +300,29 @@ class _Searcher:
         return total
 
 
-def _count_component(plan: _ComponentPlan, init: list[int], meter: list[int],
-                     fanout_depth: int = 0) -> int:
-    if fanout_depth <= 0 or plan.tail_start == 0:
-        searcher = _Searcher(plan, list(init), [0] * len(init), meter)
-        return searcher.run(0)
-    depth = min(fanout_depth, plan.tail_start)
-    prefix_space = [init[plan.order[p]] for p in range(depth)]
+def _search_plans(graph: Graph) -> list[_ComponentPlan]:
+    m = graph.edge_count
+    triples = _triangle_edge_triples(graph)
+    tri_of_edge: dict[int, list[tuple[int, int]]] = {e: [] for e in range(m)}
+    for a, b, c in triples:
+        tri_of_edge[a].append((b, c))
+        tri_of_edge[b].append((a, c))
+        tri_of_edge[c].append((a, b))
+    return [_ComponentPlan(comp, tri_of_edge) for comp in _edge_components(m, triples)]
 
-    def bits_of(mask):
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            yield bit
 
-    prefixes = list(itertools.product(*(list(bits_of(mask)) for mask in prefix_space)))
-
-    def task(prefix):
-        searcher = _Searcher(plan, list(init), [0] * len(init), meter)
-        if not searcher.replay_prefix(prefix):
+def _count_planned(plans: list[_ComponentPlan], masks: list[int], meter: list[int]) -> int:
+    """Product of the component counts; meter is [nodes left, budget]."""
+    total = 1
+    for plan in plans:
+        total *= _Searcher(plan, list(masks), [0] * len(masks), meter).run(0)
+        if total == 0:
             return 0
-        return searcher.run(depth)
-
-    with ThreadPoolExecutor() as pool:
-        return sum(pool.map(task, prefixes))
+    return total
 
 
 def count_gallai_with_palettes(graph: Graph, palette_masks, *,
-                               node_budget: int = DEFAULT_NODE_BUDGET,
-                               fanout_depth: int = 0) -> int:
+                               node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Gallai colorings of the graph where edge i draws its color from the bitmask
     palette_masks[i] (bit c-1 stands for color c), aligned with graph.edges()."""
     masks = list(palette_masks)
@@ -360,24 +335,10 @@ def count_gallai_with_palettes(graph: Graph, palette_masks, *,
         raise InvalidInputError("negative palette mask")
     if any(mask == 0 for mask in masks):
         return 0
-    triples = _triangle_edge_triples(graph)
-    tri_of_edge: dict[int, list[tuple[int, int]]] = {e: [] for e in range(m)}
-    for a, b, c in triples:
-        tri_of_edge[a].append((b, c))
-        tri_of_edge[b].append((a, c))
-        tri_of_edge[c].append((a, b))
-    meter = [node_budget, node_budget]
-    total = 1
-    for comp in _edge_components(m, triples):
-        plan = _ComponentPlan(comp, tri_of_edge)
-        total *= _count_component(plan, masks, meter, fanout_depth)
-        if total == 0:
-            return 0
-    return total
+    return _count_planned(_search_plans(graph), masks, [node_budget, node_budget])
 
 
-def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET,
-                 fanout_depth: int = 0) -> int:
+def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact number of Gallai colorings of the graph with colors from 1..r.
 
     Backtracks in a greedy edge order that closes triangles early, prunes on
@@ -385,6 +346,8 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
     propagation.  Colors are interchangeable, so counts for a fixed number of
     colors are lifted to any r through surjective counts, which keeps the
     search bounded by the largest number of colors the graph can actually use.
+    node_budget bounds the search nodes of the whole call, over every color
+    count searched.
     """
     if r < 1:
         raise InvalidParameterError("need r >= 1")
@@ -398,12 +361,11 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
     # counts[j] = Gallai colorings with colors drawn from a fixed j-set
     counts: dict[int, int] = {0: 0, 1: 1, 2: 2**m}
     surjective: dict[int, int] = {1: 1, 2: 2**m - 2}
-    meter_budget = node_budget
+    plans = _search_plans(graph)
+    meter = [node_budget, node_budget]
     j_cap = min(r, m)
     for j in range(3, j_cap + 1):
-        full = (1 << j) - 1
-        counts[j] = count_gallai_with_palettes(
-            graph, [full] * m, node_budget=meter_budget, fanout_depth=fanout_depth)
+        counts[j] = _count_planned(plans, [(1 << j) - 1] * m, meter)
         surj = sum((-1) ** i * comb(j, i) * counts[j - i] for i in range(j + 1))
         surjective[j] = surj
         if surj == 0:
@@ -477,33 +439,31 @@ def asymptotic_bounds(n: int, r: int) -> AsymptoticBounds:
 # deviation from a two-color majority
 
 
-@lru_cache(maxsize=None)
-def _matching_best(adj: tuple[int, ...], mask: int) -> int:
-    if not mask:
-        return 0
-    bit = mask & -mask
-    v = bit.bit_length() - 1
-    rest = mask ^ bit
-    best = _matching_best(adj, rest)
-    nb = adj[v] & rest
-    while nb:
-        ub = nb & -nb
-        nb ^= ub
-        cand = 1 + _matching_best(adj, rest ^ ub)
-        if cand > best:
-            best = cand
-    return best
-
-
 def max_matching_size(n: int, edges) -> int:
     """Exact maximum matching size by exhaustive search over vertex subsets."""
     if n > 20:
         raise ResourceLimitError(f"matching search is exponential in n; n={n} > 20")
-    rows = [0] * n
+    adj = [0] * n
     for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return _matching_best(tuple(rows), (1 << n) - 1)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    memo: dict[int, int] = {0: 0}
+
+    def best(mask: int) -> int:
+        if mask in memo:
+            return memo[mask]
+        bit = mask & -mask
+        rest = mask ^ bit
+        value = best(rest)
+        nb = adj[bit.bit_length() - 1] & rest
+        while nb:
+            ub = nb & -nb
+            nb ^= ub
+            value = max(value, 1 + best(rest ^ ub))
+        memo[mask] = value
+        return value
+
+    return best((1 << n) - 1)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ from pathlib import Path
 
 from .counting import DEFAULT_NODE_BUDGET, count_gallai
 from .errors import InvalidParameterError, ResourceLimitError
-from .graphs import (Graph, all_graphs, canonical_form, canonical_graph, complete,
-                     complete_bipartite, graph6_encode)
+from .graphs import all_graphs, complete, complete_bipartite, graph6_encode
+# unused here, but bench/spans.py traces them through this module by name
+from .graphs import canonical_form, canonical_graph  # noqa: F401
 
 SEARCH_N_SMALL_R = 6
 SEARCH_N_LARGE_R = 5
@@ -44,10 +45,13 @@ class ExtremalTable:
 
 
 class CountCache:
-    """Persistent JSONL memo of computed counts, keyed by canonical graph6.
+    """Persistent JSONL memo of computed counts, keyed by (graph6, r).
 
-    Corrupt lines are skipped with a warning; the cache never serves data it
-    could not fully parse.
+    The graph6 key must be the canonical one of its isomorphism class, such as
+    the encoding of a graph yielded by ``all_graphs`` or of ``canonical_graph(g)``.
+    The cache does not canonicalize; two labelings of one class under
+    different keys are two unrelated entries.  Corrupt lines are skipped with a
+    warning; the cache never serves data it could not fully parse.
     """
 
     def __init__(self, path):
@@ -71,21 +75,17 @@ class CountCache:
             except (ValueError, KeyError, TypeError):
                 warnings.warn(f"skipping corrupt cache line {lineno} in {self.path}")
 
-    def _key(self, graph: Graph, r: int) -> tuple[str, int]:
-        return graph6_encode(canonical_graph(graph)), r
-
-    def get(self, graph: Graph, r: int) -> int | None:
+    def get(self, g6: str, r: int) -> int | None:
         self._load()
-        return self._data.get(self._key(graph, r))
+        return self._data.get((g6, r))
 
-    def put(self, graph: Graph, r: int, count: int) -> None:
+    def put(self, g6: str, r: int, count: int) -> None:
         self._load()
-        key = self._key(graph, r)
-        if self._data.get(key) == count:
+        if self._data.get((g6, r)) == count:
             return
-        self._data[key] = count
+        self._data[(g6, r)] = count
         with self.path.open("a") as fh:
-            fh.write(json.dumps({"g6": key[0], "r": key[1], "count": str(count)}) + "\n")
+            fh.write(json.dumps({"g6": g6, "r": r, "count": str(count)}) + "\n")
 
 
 def _search_limit(r: int) -> int:
@@ -96,7 +96,8 @@ def extremal_search(n: int, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET,
                     cache: CountCache | None = None) -> ExtremalTable:
     """Count Gallai r-colorings for every isomorphism class on n vertices.
 
-    Rows are sorted by canonical form and the argmax lists every maximizer.
+    Rows come in increasing canonical form, as ``all_graphs`` yields them,
+    and the argmax lists every maximizer.  Cache keys are the rows' g6.
     If a row overruns the node budget, the error carries the partial table
     (remaining counts None, flagged non-authoritative).
     """
@@ -107,24 +108,22 @@ def extremal_search(n: int, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET,
         raise ResourceLimitError(
             f"extremal search with r = {r} is capped at n <= {limit}")
     rows = []
-    pending = sorted(all_graphs(n), key=canonical_form)
-    for idx, graph in enumerate(pending):
-        form = canonical_form(graph)
+    classes = list(all_graphs(n))
+    for idx, (form, graph) in enumerate(classes):
         g6 = graph6_encode(graph)
-        count = cache.get(graph, r) if cache else None
+        count = cache.get(g6, r) if cache else None
         if count is None:
             try:
                 count = count_gallai(graph, r, node_budget=node_budget)
             except ResourceLimitError as exc:
-                done = rows + [ExtremalRow(canonical_form(g), graph6_encode(g),
-                                           g.edge_count, None)
-                               for g in pending[idx:]]
+                done = rows + [ExtremalRow(f, graph6_encode(g), g.edge_count, None)
+                               for f, g in classes[idx:]]
                 partial = ExtremalTable(n, r, tuple(done), (), False)
                 raise ResourceLimitError(
                     f"row {g6} exceeded the node budget", partial=partial,
                     nodes_visited=exc.nodes_visited) from exc
             if cache:
-                cache.put(graph, r, count)
+                cache.put(g6, r, count)
         rows.append(ExtremalRow(form, g6, graph.edge_count, count))
     best = max(row.count for row in rows)
     argmax = tuple(row.canonical for row in rows if row.count == best)

@@ -343,9 +343,12 @@ def canonical_graph(graph: Graph, *, max_n: int = CANONICAL_LIMIT) -> Graph:
 
 
 def all_graphs(n: int, *, limit: int = ALL_GRAPHS_LIMIT):
-    """One representative per isomorphism class on n vertices, by labeled
-    enumeration with orbit dedup.  Representatives carry the minimal canonical
-    encoding of their class and are yielded in increasing encoding order."""
+    """One (form, graph) pair per isomorphism class on n vertices, by labeled
+    enumeration with orbit dedup, in increasing order of form.
+
+    Each mask visited first is the minimum of its orbit, so ``form`` equals
+    ``canonical_form(graph)`` and ``graph`` equals ``canonical_graph(graph)``
+    without the n! search either would make."""
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     if n > limit:
@@ -369,7 +372,7 @@ def all_graphs(n: int, *, limit: int = ALL_GRAPHS_LIMIT):
         bits = ((mask >> shifts) & 1).astype(np.int64)
         orbit = bits[perm_maps] @ weights
         seen[orbit] = True
-        yield _mask_to_graph(n, mask, pairs)
+        yield _mask_to_bytes(mask, m), _mask_to_graph(n, mask, pairs)
 
 
 # ---------------------------------------------------------------------------

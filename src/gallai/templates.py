@@ -148,14 +148,13 @@ def is_gallai_template(template: Template, graph: Graph) -> bool:
 
 
 def count_ga(template: Template, graph: Graph, *,
-             node_budget: int = DEFAULT_NODE_BUDGET, fanout_depth: int = 0) -> int:
+             node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Gallai colorings of the graph drawing every edge color from its palette."""
     if graph.n > template.n:
         raise InvalidInputError("graph order exceeds template order")
     n = template.n
     masks = [template.palettes[edge_index(n, u, v)] for u, v in graph.edges()]
-    return count_gallai_with_palettes(graph, masks, node_budget=node_budget,
-                                      fanout_depth=fanout_depth)
+    return count_gallai_with_palettes(graph, masks, node_budget=node_budget)
 
 
 # ---------------------------------------------------------------------------

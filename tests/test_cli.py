@@ -189,6 +189,16 @@ class TestStability:
                              "--template", full_template_file)
         assert code == 2
 
+    def test_monoedge_malformed_eps_is_usage_error(self, capsys, tmp_path):
+        tpl = tmp_path / "mono4.tpl"
+        tpl.write_text("4 3\n" + "".join(f"{u} {v} 100\n"
+                                        for u in range(4) for v in range(u + 1, 4)))
+        for eps in ("abc", "1/0"):
+            code, out, err = run(capsys, "stability", "monoedge", "--graph", "K4",
+                                 "--template", str(tpl), "--eps", eps)
+            assert (code, out) == (2, "")
+            assert "error:" in err
+
     def test_dichotomy(self, capsys):
         payload = run_json(capsys, "stability", "dichotomy", "--graph", "C5",
                            "--alpha", "1e-6")
@@ -213,6 +223,13 @@ class TestStability:
         assert payload["steps"][0] == {
             "kind": "single", "order_before": 10, "vertices": [1],
             "witness": {"degree": 1, "threshold": 4.41}}
+
+    def test_peel_malformed_xi_is_usage_error(self, capsys, star_template_file):
+        for xi in ("zz", "nan"):
+            code, out, err = run(capsys, "stability", "peel", "--graph", "K1,9",
+                                 "--template", star_template_file, "--xi", xi)
+            assert (code, out) == (2, "")
+            assert "error:" in err
 
     def test_lowdeg(self, capsys):
         payload = run_json(capsys, "stability", "lowdeg", "--graph", "K1,9",
@@ -275,6 +292,21 @@ class TestVerifyCover:
         assert code == 4
 
 
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("argv", [
+        ("hypergraph", "audit", "--n", "10", "--r", "3", "--tau", "nan"),
+        ("hypergraph", "audit", "--n", "10", "--r", "3", "--tau", "inf"),
+        ("stability", "dichotomy", "--graph", "C5", "--alpha", "nan"),
+        ("stability", "dichotomy", "--graph", "C5", "--alpha", "inf"),
+        ("verify-cover", ".", "--n", "3", "--r", "3", "--c", "nan"),
+        ("--container-c", "inf", "hypergraph", "audit", "--n", "10", "--r", "3"),
+    ])
+    def test_rejected_at_parse_time(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error:" in err
+
+
 class TestBounds:
     def test_reference_values(self, capsys):
         payload = run_json(capsys, "bounds", "--n", "6", "--r", "3")
@@ -321,10 +353,21 @@ class TestConfig:
 
     def test_order_overrides_parsed(self, tmp_path):
         cfg = tmp_path / "n0.cfg"
+        cfg.write_text("sample_size = 77\n")
+        assert load_config(str(cfg)).sample_size == 77
         cfg.write_text("n0_dense = 4096\nsample_size = 77\n")
-        config = load_config(str(cfg))
-        assert config.n0_overrides == {"dense": 4096}
-        assert config.sample_size == 77
+        with pytest.raises(InvalidInputError, match="unknown config key 'n0_dense'"):
+            load_config(str(cfg))
+
+    def test_non_finite_container_c_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("container_c = nan\n")
+        with pytest.raises(InvalidInputError):
+            load_config(str(cfg))
+        code, out, err = run(capsys, "--config", str(cfg),
+                             "hypergraph", "audit", "--n", "10", "--r", "3")
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
     def test_missing_config_file(self, capsys):
         code, out, err = run(capsys, "--config", "/no/such.cfg",

@@ -6,6 +6,7 @@ from math import comb, log2
 import networkx as nx
 import pytest
 
+import gallai.counting
 from conftest import brute_count_gallai, random_graph
 from gallai.counting import (
     Coloring,
@@ -150,6 +151,33 @@ class TestGenerators:
         with pytest.raises(ResourceLimitError):
             count_gallai(complete(6), 3, node_budget=50)
 
+    def test_node_budget_covers_every_color_count_of_one_call(self):
+        # count_gallai(K4, 4) searches full palettes of 3 and then 4 colors
+        g = complete(4)
+
+        def fits(j, budget):
+            try:
+                count_gallai_with_palettes(g, [(1 << j) - 1] * 6, node_budget=budget)
+            except ResourceLimitError:
+                return False
+            return True
+
+        def least_budget(j):
+            lo, hi = 0, 1
+            while not fits(j, hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if fits(j, mid) else (mid, hi)
+            return hi
+
+        need3, need4 = least_budget(3), least_budget(4)
+        with pytest.raises(ResourceLimitError):
+            count_gallai(g, 4, node_budget=max(need3, need4))
+        with pytest.raises(ResourceLimitError):
+            count_gallai(g, 4, node_budget=need3 + need4 - 1)
+        assert count_gallai(g, 4, node_budget=need3 + need4) == count_gallai(g, 4)
+
 
 class TestSurjectiveDecomposition:
     def test_ladder_matches_binomial_extrapolation(self):
@@ -240,6 +268,15 @@ class TestMatchingAndDeviation:
     def test_matching_budget(self):
         with pytest.raises(ResourceLimitError):
             max_matching_size(21, [])
+
+    def test_matching_memo_does_not_outlive_the_call(self):
+        rng = random.Random(47)
+        for _ in range(20):
+            g = random_graph(rng, 10)
+            max_matching_size(g.n, g.edges())
+        held = [name for name, obj in vars(gallai.counting).items()
+                if hasattr(obj, "cache_info") and obj.cache_info().currsize]
+        assert held == []
 
     def test_s_deviation(self):
         g = complete(5)

@@ -16,9 +16,13 @@ from gallai.extremal import (
 from gallai.graphs import (
     all_graphs,
     canonical_form,
+    canonical_graph,
     complete,
     complete_bipartite,
+    graph6_encode,
 )
+
+K4 = graph6_encode(complete(4))
 
 
 class TestSearch:
@@ -33,12 +37,12 @@ class TestSearch:
     def test_rows_cover_all_classes_sorted_by_canonical_form(self):
         table = extremal_search(4, 3)
         assert [row.canonical for row in table.rows] == sorted(
-            canonical_form(g) for g in all_graphs(4))
+            canonical_form(g) for _, g in all_graphs(4))
         assert table.max_count == 279
 
     def test_every_row_count_matches_the_scan_oracle(self):
         table = extremal_search(4, 3)
-        for g, row in zip(sorted(all_graphs(4), key=canonical_form), table.rows):
+        for (_, g), row in zip(all_graphs(4), table.rows):
             assert row.count == count_gallai_naive(g, 3)
             assert row.edges == g.edge_count
 
@@ -71,35 +75,38 @@ class TestSearch:
 
 class TestCache:
     def test_round_trip_is_keyed_by_isomorphism_class(self, tmp_path):
-        cache = CountCache(tmp_path / "counts.jsonl")
+        path = tmp_path / "counts.jsonl"
+        cache = CountCache(path)
         g = complete_bipartite(2, 3)
-        cache.put(g, 7, 12345)
-        assert cache.get(g, 7) == 12345
+        key = graph6_encode(canonical_graph(g))
+        cache.put(key, 7, 12345)
+        assert path.read_text() == json.dumps({"g6": key, "r": 7, "count": "12345"}) + "\n"
+        assert cache.get(key, 7) == 12345
         relabeled = g.permuted([4, 2, 0, 3, 1])
-        assert cache.get(relabeled, 7) == 12345
-        assert cache.get(g, 8) is None
+        assert cache.get(graph6_encode(canonical_graph(relabeled)), 7) == 12345
+        assert cache.get(key, 8) is None
 
     def test_persisted_across_instances(self, tmp_path):
         path = tmp_path / "counts.jsonl"
-        CountCache(path).put(complete(4), 3, 279)
-        assert CountCache(path).get(complete(4), 3) == 279
+        CountCache(path).put(K4, 3, 279)
+        assert CountCache(path).get(K4, 3) == 279
 
     def test_corrupt_lines_warn_and_are_skipped(self, tmp_path):
         path = tmp_path / "counts.jsonl"
-        CountCache(path).put(complete(4), 3, 279)
+        CountCache(path).put(K4, 3, 279)
         with open(path, "a") as fh:
             fh.write("not json\n")
             fh.write(json.dumps({"g6": "C~"}) + "\n")
         cache = CountCache(path)
         with pytest.warns(UserWarning):
-            assert cache.get(complete(4), 3) == 279
+            assert cache.get(K4, 3) == 279
 
     def test_identical_puts_do_not_grow_the_file(self, tmp_path):
         path = tmp_path / "counts.jsonl"
         cache = CountCache(path)
-        cache.put(complete(4), 3, 279)
+        cache.put(K4, 3, 279)
         size = path.stat().st_size
-        cache.put(complete(4), 3, 279)
+        cache.put(K4, 3, 279)
         assert path.stat().st_size == size
 
     def test_search_reuses_cached_counts(self, tmp_path):
@@ -115,7 +122,7 @@ class TestCache:
         # the cache is an authority by design: a poisoned entry changes results
         path = tmp_path / "counts.jsonl"
         cache = CountCache(path)
-        cache.put(complete(3), 3, 999999)
+        cache.put(graph6_encode(complete(3)), 3, 999999)
         table = extremal_search(3, 3, cache=cache)
         assert table.max_count == 999999
 

@@ -164,8 +164,13 @@ class TestIsomorphism:
             assert sum(1 for _ in all_graphs(n)) == len(classes)
 
     def test_all_graphs_yields_canonical_representatives(self):
-        for g in all_graphs(5):
-            assert canonical_graph(g) == g
+        for n in range(1, 7):
+            forms = []
+            for form, g in all_graphs(n):
+                assert form == canonical_form(g)
+                assert canonical_graph(g) == g
+                forms.append(form)
+            assert all(a < b for a, b in zip(forms, forms[1:]))
 
     def test_all_graphs_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -181,7 +186,7 @@ class TestIsomorphism:
             assert canonical_form(g) == canonical_form(g.permuted(perm))
 
     def test_canonical_form_separates_classes(self):
-        forms = [canonical_form(g) for g in all_graphs(4)]
+        forms = [canonical_form(g) for _, g in all_graphs(4)]
         assert len(set(forms)) == len(forms)
 
 
