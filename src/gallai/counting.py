@@ -4,15 +4,17 @@ Two independent counting routes are kept side by side on purpose:
 
 * :func:`count_gallai_naive` sweeps the full product space of colorings with
   vectorized triangle checks and no search cleverness at all, and
-* :func:`count_gallai` backtracks over edges with rainbow pruning and
-  forced-color propagation.
+* :func:`count_gallai` backtracks over edges with rainbow pruning,
+  forced-color propagation and color-symmetry breaking.
 
 Counts are plain Python integers, so they never overflow or round.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2
@@ -24,6 +26,8 @@ from .graphs import Graph
 
 DEFAULT_LEAF_BUDGET = 10**8
 DEFAULT_NODE_BUDGET = 10**9
+# stack frames kept free below the recursion limit for the search's callers
+_CALLER_FRAMES = 200
 
 
 class Coloring:
@@ -193,84 +197,108 @@ def _edge_components(m: int, triples) -> list[list[int]]:
 class _ComponentPlan:
     """Static search plan for one triangle-connected edge component."""
 
-    __slots__ = ("order", "narrow", "tail_start")
+    __slots__ = ("order", "narrow", "tail_start", "tail")
 
     def __init__(self, comp: list[int], tri_of_edge: dict[int, list[tuple[int, int]]]):
+        # greedy: close as many fully-placed triangles as possible, ties by edge
+        # id; an edge's score rises when a placed edge is the second of one of
+        # its triangles, and a heap entry is stale once the score has moved on
+        score = dict.fromkeys(comp, 0)
+        heap = [(0, e) for e in sorted(comp)]
         placed = set()
-        remaining = sorted(comp)
         order: list[int] = []
-        # greedy: close as many fully-placed triangles as possible, ties by edge id
-        while remaining:
-            best_e, best_score = None, -1
-            for e in remaining:
-                score = sum(1 for f, g in tri_of_edge[e] if f in placed and g in placed)
-                if score > best_score:
-                    best_e, best_score = e, score
-            order.append(best_e)
-            placed.add(best_e)
-            remaining.remove(best_e)
+        while heap:
+            neg, e = heapq.heappop(heap)
+            if e in placed or -neg != score[e]:
+                continue
+            order.append(e)
+            placed.add(e)
+            for f, g in tri_of_edge[e]:
+                if (f in placed) == (g in placed):
+                    continue
+                third = g if f in placed else f
+                score[third] += 1
+                heapq.heappush(heap, (-score[third], third))
         pos = {e: i for i, e in enumerate(order)}
         narrow: list[tuple[tuple[int, int], ...]] = []
+        # past the last second-highest triangle position, remaining palettes
+        # are mutually unconstrained and multiply out
+        tail = 0
         for i, e in enumerate(order):
             pairs = []
             for f, g in tri_of_edge[e]:
-                pf, pg = pos.get(f), pos.get(g)
-                if pf is None or pg is None:
-                    continue
+                pf, pg = pos[f], pos[g]
                 if pf < i < pg:
                     pairs.append((f, g))
                 elif pg < i < pf:
                     pairs.append((g, f))
+                elif i > pf:
+                    # e is the triangle's highest edge
+                    tail = max(tail, max(pf, pg) + 1)
             narrow.append(tuple(pairs))
-        # past the last second-highest triangle position, remaining palettes
-        # are mutually unconstrained and multiply out
-        tail = 0
-        seen_tris = set()
-        for e in comp:
-            for f, g in tri_of_edge[e]:
-                tri = tuple(sorted((e, f, g)))
-                if tri in seen_tris:
-                    continue
-                seen_tris.add(tri)
-                second = sorted(pos[x] for x in tri)[1]
-                tail = max(tail, second + 1)
         self.order = order
         self.narrow = narrow
         self.tail_start = tail
+        self.tail = tuple(order[tail:])
 
 
 class _Searcher:
-    """Backtracking counter over one component plan.
+    """Backtracking counter over the component plans of one call.
 
     Assigning a color to an edge narrows the candidate palettes of the yet
     unassigned third edges of its triangles to the two colors already present,
     so a branch dies the moment a rainbow triangle becomes unavoidable.
+
+    Level k of ``run(pos, k)`` is the number of colors the prefix has used.
+    While k is inside the new-color window, an edge may take a color already
+    used or the lowest one not yet used, bit k; every other color would only
+    relabel the same coloring.  A leaf at level k stands for ``weight[k]``
+    colorings, and a tail edge whose candidates still equal ``full`` counts
+    ``r`` choices.  A palette search starts past the window with weight 1 and
+    a ``full`` no mask equals, so it sees every candidate as given.
     """
 
-    __slots__ = ("plan", "cand", "colors", "meter")
+    __slots__ = ("plan", "cand", "colors", "meter", "weight", "full", "r")
 
-    def __init__(self, plan: _ComponentPlan, cand: list[int], colors: list[int], meter: list[int]):
-        self.plan = plan
-        self.cand = cand
-        self.colors = colors
-        self.meter = meter
+    def __init__(self, masks: list[int], node_budget: int, weight, full: int, r: int):
+        self.plan: _ComponentPlan | None = None
+        self.cand = list(masks)
+        self.colors = [0] * len(masks)
+        # [nodes left, budget]
+        self.meter = [node_budget, node_budget]
+        self.weight = weight
+        self.full = full
+        self.r = r
 
-    def run(self, pos: int) -> int:
+    def count(self, plans: list[_ComponentPlan], start: int) -> int:
+        """Product of the component counts, each searched from level start;
+        a finished search leaves every candidate palette as it found it."""
+        total = 1
+        for plan in plans:
+            self.plan = plan
+            total *= self.run(0, start)
+            if total == 0:
+                return 0
+        return total
+
+    def run(self, pos: int, k: int) -> int:
         plan = self.plan
-        if pos == plan.tail_start:
-            prod = 1
-            for e in plan.order[pos:]:
-                prod *= self.cand[e].bit_count()
-                if not prod:
-                    return 0
-            return prod
         cand = self.cand
+        if pos == plan.tail_start:
+            # narrowing never empties a palette it leaves alive
+            prod = self.weight[k]
+            full = self.full
+            for e in plan.tail:
+                mask = cand[e]
+                prod *= self.r if mask == full else mask.bit_count()
+            return prod
         colors = self.colors
         meter = self.meter
         e = plan.order[pos]
         pairs = plan.narrow[pos]
         total = 0
-        mask = cand[e]
+        fresh = 1 << k
+        mask = cand[e] & ((fresh << 1) - 1)
         while mask:
             bit = mask & -mask
             mask ^= bit
@@ -294,7 +322,7 @@ class _Searcher:
                     trail.append((g, old))
                     cand[g] = new
             if not dead:
-                total += self.run(pos + 1)
+                total += self.run(pos + 1, k + 1 if bit == fresh else k)
             for g, old in trail:
                 cand[g] = old
         return total
@@ -303,22 +331,20 @@ class _Searcher:
 def _search_plans(graph: Graph) -> list[_ComponentPlan]:
     m = graph.edge_count
     triples = _triangle_edge_triples(graph)
+    components = _edge_components(m, triples)
+    # the search recurses once per edge of a component, below its callers
+    depth_cap = sys.getrecursionlimit() - _CALLER_FRAMES
+    largest = max(map(len, components), default=0)
+    if largest > depth_cap:
+        raise ResourceLimitError(
+            f"a triangle-connected component of {largest} edges exceeds the "
+            f"search depth limit of {depth_cap} edges")
     tri_of_edge: dict[int, list[tuple[int, int]]] = {e: [] for e in range(m)}
     for a, b, c in triples:
         tri_of_edge[a].append((b, c))
         tri_of_edge[b].append((a, c))
         tri_of_edge[c].append((a, b))
-    return [_ComponentPlan(comp, tri_of_edge) for comp in _edge_components(m, triples)]
-
-
-def _count_planned(plans: list[_ComponentPlan], masks: list[int], meter: list[int]) -> int:
-    """Product of the component counts; meter is [nodes left, budget]."""
-    total = 1
-    for plan in plans:
-        total *= _Searcher(plan, list(masks), [0] * len(masks), meter).run(0)
-        if total == 0:
-            return 0
-    return total
+    return [_ComponentPlan(comp, tri_of_edge) for comp in components]
 
 
 def count_gallai_with_palettes(graph: Graph, palette_masks, *,
@@ -335,19 +361,24 @@ def count_gallai_with_palettes(graph: Graph, palette_masks, *,
         raise InvalidInputError("negative palette mask")
     if any(mask == 0 for mask in masks):
         return 0
-    return _count_planned(_search_plans(graph), masks, [node_budget, node_budget])
+    # past every palette's highest bit no color is new: the search is plain
+    start = max(masks).bit_length()
+    searcher = _Searcher(masks, node_budget, {start: 1}, -1, 0)
+    return searcher.count(_search_plans(graph), start)
 
 
 def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact number of Gallai colorings of the graph with colors from 1..r.
 
-    Backtracks in a greedy edge order that closes triangles early, prunes on
-    completed rainbow triangles, and narrows palettes by forced-color
-    propagation.  Colors are interchangeable, so counts for a fixed number of
-    colors are lifted to any r through surjective counts, which keeps the
-    search bounded by the largest number of colors the graph can actually use.
-    node_budget bounds the search nodes of the whole call, over every color
-    count searched.
+    One search per triangle-connected component, in a greedy edge order that
+    closes triangles early, pruning on completed rainbow triangles and
+    narrowing palettes by forced-color propagation.  Colors are
+    interchangeable, so an edge may only take a color already used or the
+    lowest unused one; a leaf whose prefix used k colors is weighted by the
+    falling factorial (r)_k, and the edges of the unconstrained tail that no
+    triangle narrowed keep all r choices.  The search therefore never looks at
+    more than min(r, e) colors, and a huge r costs no more than a small one.
+    node_budget bounds the search nodes of the whole call.
     """
     if r < 1:
         raise InvalidParameterError("need r >= 1")
@@ -358,22 +389,13 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
         return 1
     if r == 2:
         return 2**m
-    # counts[j] = Gallai colorings with colors drawn from a fixed j-set
-    counts: dict[int, int] = {0: 0, 1: 1, 2: 2**m}
-    surjective: dict[int, int] = {1: 1, 2: 2**m - 2}
-    plans = _search_plans(graph)
-    meter = [node_budget, node_budget]
-    j_cap = min(r, m)
-    for j in range(3, j_cap + 1):
-        counts[j] = _count_planned(plans, [(1 << j) - 1] * m, meter)
-        surj = sum((-1) ** i * comb(j, i) * counts[j - i] for i in range(j + 1))
-        surjective[j] = surj
-        if surj == 0:
-            # merging color classes shows no coloring can use more colors either
-            return sum(comb(r, k) * surjective[k] for k in range(1, j))
-    if j_cap == r:
-        return counts[r]
-    return sum(comb(r, k) * surjective[k] for k in range(1, j_cap + 1))
+    width = min(r, m)
+    weight = [1]
+    for k in range(width):
+        weight.append(weight[-1] * (r - k))
+    full = (1 << width) - 1
+    searcher = _Searcher([full] * m, node_budget, weight, full, r)
+    return searcher.count(_search_plans(graph), 0)
 
 
 # ---------------------------------------------------------------------------

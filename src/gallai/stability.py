@@ -126,8 +126,8 @@ def dichotomy_search(graph: Graph, alpha) -> DichotomyResult:
     if n > DICHOTOMY_LIMIT:
         raise ResourceLimitError(f"exhaustive dichotomy search capped at n <= {DICHOTOMY_LIMIT}")
     a = float(alpha)
-    if a <= 0:
-        raise InvalidParameterError("alpha must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise InvalidParameterError("alpha must be a finite positive number")
     cube = a ** (1.0 / 3.0)
     book_threshold = (1.0 / 6.0 - 2.0 * cube) * n
     order_threshold = (1.0 - cube) * n

@@ -1,4 +1,5 @@
 import json
+import time
 from math import comb
 
 import pytest
@@ -75,6 +76,16 @@ class TestCount:
                              "--leaf-budget", "10")
         assert code == 3
         assert "budget" in err
+
+    def test_component_too_deep_for_the_search_exits_3(self, capsys):
+        # K70's 2415 edges form one component, deeper than the recursion limit
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "K70", "--r", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert not out
+        assert "depth" in err
+        assert "Traceback" not in err
 
 
 class TestExtremal:

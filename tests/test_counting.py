@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb, log2
 
@@ -103,6 +104,16 @@ class TestOracleEquivalence:
             r = rng.randint(1, 4)
             assert count_gallai(g, r) == count_gallai_naive(g, r)
 
+    def test_every_small_class_agrees_with_full_palettes_and_naive(self):
+        for n in range(1, 6):
+            for _, g in all_graphs(n):
+                m = g.edge_count
+                for r in range(3, 7):
+                    count = count_gallai(g, r)
+                    assert count == count_gallai_with_palettes(g, [(1 << r) - 1] * m)
+                    if r**m <= 10**6:
+                        assert count == count_gallai_naive(g, r)
+
     def test_isolated_vertices_and_empty_graph(self):
         assert count_gallai(Graph(1, (0,)), 3) == 1
         assert count_gallai(Graph(4, (0, 0, 0, 0)), 5) == 1
@@ -151,32 +162,89 @@ class TestGenerators:
         with pytest.raises(ResourceLimitError):
             count_gallai(complete(6), 3, node_budget=50)
 
-    def test_node_budget_covers_every_color_count_of_one_call(self):
-        # count_gallai(K4, 4) searches full palettes of 3 and then 4 colors
-        g = complete(4)
+    def test_node_budget_covers_every_component_of_one_call(self):
+        # K4 on 0..3 and a diamond on 4..7: two triangle-connected components
+        union = Graph.from_edges(8, list(complete(4).edges())
+                                 + [(u + 4, v + 4) for u, v in DIAMOND.edges()])
 
-        def fits(j, budget):
+        def fits(graph, budget):
             try:
-                count_gallai_with_palettes(g, [(1 << j) - 1] * 6, node_budget=budget)
+                count_gallai(graph, 4, node_budget=budget)
             except ResourceLimitError:
                 return False
             return True
 
-        def least_budget(j):
+        def least_budget(graph):
             lo, hi = 0, 1
-            while not fits(j, hi):
+            while not fits(graph, hi):
                 lo, hi = hi, 2 * hi
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if fits(j, mid) else (mid, hi)
+                lo, hi = (lo, mid) if fits(graph, mid) else (mid, hi)
             return hi
 
-        need3, need4 = least_budget(3), least_budget(4)
+        need = least_budget(complete(4)) + least_budget(DIAMOND)
+        assert least_budget(union) == need
         with pytest.raises(ResourceLimitError):
-            count_gallai(g, 4, node_budget=max(need3, need4))
-        with pytest.raises(ResourceLimitError):
-            count_gallai(g, 4, node_budget=need3 + need4 - 1)
-        assert count_gallai(g, 4, node_budget=need3 + need4) == count_gallai(g, 4)
+            count_gallai(union, 4, node_budget=need - 1)
+        assert count_gallai(union, 4, node_budget=need) \
+            == count_gallai(complete(4), 4) * count_gallai(DIAMOND, 4)
+
+
+def reference_plan(comp, tri_of_edge):
+    """The plain greedy: rescore every remaining edge at every step."""
+    placed, order = set(), []
+    remaining = sorted(comp)
+    while remaining:
+        def closed(e):
+            return sum(1 for f, g in tri_of_edge[e] if f in placed and g in placed)
+        best = max(remaining, key=lambda e: (closed(e), -e))
+        order.append(best)
+        placed.add(best)
+        remaining.remove(best)
+    pos = {e: i for i, e in enumerate(order)}
+    narrow = []
+    for i, e in enumerate(order):
+        pairs = []
+        for f, g in tri_of_edge[e]:
+            lo, hi = sorted((f, g), key=pos.get)
+            if pos[lo] < i < pos[hi]:
+                pairs.append((lo, hi))
+        narrow.append(tuple(pairs))
+    tail_start = 0
+    for e in comp:
+        for f, g in tri_of_edge[e]:
+            tail_start = max(tail_start, sorted((pos[e], pos[f], pos[g]))[1] + 1)
+    return order, narrow, tail_start
+
+
+class TestSearchPlan:
+    @pytest.mark.parametrize("graph", [
+        complete(7), complete_bipartite(3, 4), OCTAHEDRON,
+        *(random_graph(random.Random(seed), 8) for seed in (51, 52, 53, 54))])
+    def test_greedy_order_matches_reference(self, graph):
+        edges = graph.edges()
+        idx = {e: i for i, e in enumerate(edges)}
+        tri_of_edge = {i: [] for i in range(len(edges))}
+        for a, b, c in graph.triangles():
+            ab, ac, bc = idx[(a, b)], idx[(a, c)], idx[(b, c)]
+            tri_of_edge[ab].append((ac, bc))
+            tri_of_edge[ac].append((ab, bc))
+            tri_of_edge[bc].append((ab, ac))
+        plans = gallai.counting._search_plans(graph)
+        assert sorted(e for plan in plans for e in plan.order) == list(range(len(edges)))
+        for plan in plans:
+            order, narrow, tail_start = reference_plan(sorted(plan.order), tri_of_edge)
+            assert plan.order == order
+            assert plan.narrow == narrow
+            assert plan.tail_start == tail_start
+
+    def test_component_deeper_than_the_stack_is_a_budget_error(self):
+        # the search recurses once per edge; K70 has 2415 edges in one component
+        with pytest.raises(ResourceLimitError, match="depth"):
+            count_gallai(complete(70), 3)
+        with pytest.raises(ResourceLimitError, match="depth"):
+            count_gallai_with_palettes(complete(70), [0b111] * comb(70, 2))
 
 
 class TestSurjectiveDecomposition:
@@ -226,6 +294,15 @@ class TestClosedForms:
                 assert book_gallai_count(q, r) == r * (3 * r - 2) ** q
                 assert count_gallai(book(q) if q else complete(2), r) \
                     == book_gallai_count(q, r)
+
+    def test_huge_palette_matches_closed_forms_quickly(self):
+        r = 10**6
+        cases = [(complete(3), r**3 - r * (r - 1) * (r - 2))]
+        cases += [(book(q), book_gallai_count(q, r)) for q in range(1, 5)]
+        for graph, expected in cases:
+            start = time.perf_counter()
+            assert count_gallai(graph, r) == expected
+            assert time.perf_counter() - start < 1.0
 
     def test_asymptotic_bounds_values(self):
         b = asymptotic_bounds(6, 3)

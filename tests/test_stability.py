@@ -124,6 +124,12 @@ class TestDichotomy:
         with pytest.raises(ResourceLimitError):
             dichotomy_search(complete(DICHOTOMY_LIMIT + 1), alpha=1e-6)
 
+    def test_alpha_must_be_finite_and_positive(self):
+        # NaN fails every comparison, so "alpha <= 0" alone let it through
+        for alpha in (0.0, -1e-6, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParameterError):
+                dichotomy_search(cycle(5), alpha=alpha)
+
     def test_reported_bipartite_subgraph_is_genuine(self):
         res = dichotomy_search(complete_bipartite(4, 5), alpha=1e-6)
         if res.outcome == "bipartite":
