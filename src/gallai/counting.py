@@ -12,6 +12,7 @@ Counts are plain Python integers, so they never overflow or round.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import sys
@@ -28,6 +29,8 @@ DEFAULT_LEAF_BUDGET = 10**8
 DEFAULT_NODE_BUDGET = 10**9
 # stack frames kept free below the recursion limit for the search's callers
 _CALLER_FRAMES = 200
+# most bits in a star truth table: the product of the star edges' palette sizes
+_STAR_TABLE_BITS = 1 << 12
 
 
 class Coloring:
@@ -194,12 +197,90 @@ def _edge_components(m: int, triples) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
+class _Memo(dict):
+    """A table that computes ``build(key)`` the first time a key is read."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _StarTable:
+    """Truth tables that count the completions of a star suffix in one step.
+
+    The star edges e_0..e_{s-1} share a vertex v, so two of them, va and vb,
+    share only the triangle vab, whose third edge ab lies in the prefix; every
+    other triangle through a star edge has two prefix edges and has already
+    narrowed its candidates.  Bit j of a row stands for the coloring of the
+    star whose digit i, in the mixed radix of the palette sizes, picks the
+    color of e_i from its palette.  ``doms`` holds (e_i, rows keyed by the
+    candidate mask of e_i) and ``pairs`` holds (ab, rows keyed by the color
+    bit of ab) for every such triangle.  The completions of a colored prefix
+    are the bits set in ``ones`` and in every row that its candidates and
+    colors select.  A row is built the first time it is read.
+    """
+
+    __slots__ = ("ones", "doms", "pairs")
+
+    def __init__(self, star: list[int], pairs, masks: list[int]):
+        palettes = [masks[e] for e in star]
+        radix = []
+        size = 1
+        for palette in palettes:
+            radix.append(size)
+            size *= palette.bit_count()
+        ones = (1 << size) - 1
+
+        def digits(i: int, colors: int) -> int:
+            """Row of the colorings whose digit i picks a color of ``colors``."""
+            palette, low = palettes[i], radix[i]
+            run = (1 << low) - 1
+            block = 0
+            colors &= palette
+            while colors:
+                bit = colors & -colors
+                colors ^= bit
+                block |= run << ((palette & (bit - 1)).bit_count() * low)
+            # the block repeats once per period of digit i, with no carries
+            period = low * palette.bit_count()
+            return block * (ones // ((1 << period) - 1))
+
+        def not_rainbow(i: int, j: int, same: int, color: int) -> int:
+            return same | digits(i, color) | digits(j, color)
+
+        self.ones = ones
+        self.doms = [(e, _Memo(functools.partial(digits, i))) for i, e in enumerate(star)]
+        self.pairs = []
+        for i, j, ab in pairs:
+            same = 0
+            shared = palettes[i] & palettes[j]
+            while shared:
+                bit = shared & -shared
+                shared ^= bit
+                same |= digits(i, bit) & digits(j, bit)
+            self.pairs.append((ab, _Memo(functools.partial(not_rainbow, i, j, same))))
+
+
 class _ComponentPlan:
-    """Static search plan for one triangle-connected edge component."""
+    """Search plan for one triangle-connected edge component.
 
-    __slots__ = ("order", "narrow", "tail_start", "tail")
+    ``order[star_start:]`` is the longest suffix whose edges share a vertex
+    and whose palette sizes multiply to at most ``_STAR_TABLE_BITS``; without
+    palettes it is empty.  When it starts before ``tail_start``, ``star``
+    holds its truth tables and the search stops at ``star_start``, else at
+    ``tail_start``.
+    """
 
-    def __init__(self, comp: list[int], tri_of_edge: dict[int, list[tuple[int, int]]]):
+    __slots__ = ("order", "narrow", "tail_start", "tail", "star_start", "star", "stop")
+
+    def __init__(self, comp: list[int], tri_of_edge: dict[int, list[tuple[int, int]]],
+                 ends: list[tuple[int, int]], masks: list[int] | None):
         # greedy: close as many fully-placed triangles as possible, ties by edge
         # id; an edge's score rises when a placed edge is the second of one of
         # its triangles, and a heap entry is stale once the score has moved on
@@ -240,6 +321,37 @@ class _ComponentPlan:
         self.narrow = narrow
         self.tail_start = tail
         self.tail = tuple(order[tail:])
+        star_start = len(order)
+        if masks is not None:
+            common = set(ends[order[-1]])
+            bits = 1
+            for e in reversed(order):
+                common &= set(ends[e])
+                bits *= masks[e].bit_count()
+                if not common or bits > _STAR_TABLE_BITS:
+                    break
+                star_start -= 1
+        self.star_start = star_start
+        self.star = None
+        self.stop = tail
+        if star_start < tail:
+            star = order[star_start:]
+            index = {e: i for i, e in enumerate(star)}
+            # the triangles vab through two star edges va, vb, as (i, j, ab)
+            star_pairs = []
+            for i, e in enumerate(star):
+                for f, g in tri_of_edge[e]:
+                    if index.get(f, -1) > i:
+                        star_pairs.append((i, index[f], g))
+                    elif index.get(g, -1) > i:
+                        star_pairs.append((i, index[g], f))
+            self.star = _StarTable(star, star_pairs, masks)
+            self.stop = star_start
+
+
+def _exhausted(meter: list[int]) -> ResourceLimitError:
+    return ResourceLimitError("node budget exhausted during backtracking",
+                              nodes_visited=meter[1] - meter[0])
 
 
 class _Searcher:
@@ -256,6 +368,12 @@ class _Searcher:
     colorings, and a tail edge whose candidates still equal ``full`` counts
     ``r`` choices.  A palette search starts past the window with weight 1 and
     a ``full`` no mask equals, so it sees every candidate as given.
+
+    A palette search that reaches a plan's ``star_start`` before its
+    ``tail_start`` counts the star's completions with one evaluation of the
+    plan's ``_StarTable`` instead of branching on the star edges.  Every
+    color tried at a branching level and every star evaluation costs one
+    node, and one meter covers every component of the call.
     """
 
     __slots__ = ("plan", "cand", "colors", "meter", "weight", "full", "r")
@@ -284,14 +402,28 @@ class _Searcher:
     def run(self, pos: int, k: int) -> int:
         plan = self.plan
         cand = self.cand
-        if pos == plan.tail_start:
-            # narrowing never empties a palette it leaves alive
-            prod = self.weight[k]
-            full = self.full
-            for e in plan.tail:
-                mask = cand[e]
-                prod *= self.r if mask == full else mask.bit_count()
-            return prod
+        if pos == plan.stop:
+            star = plan.star
+            if star is None:
+                # narrowing never empties a palette it leaves alive
+                prod = self.weight[k]
+                full = self.full
+                for e in plan.tail:
+                    mask = cand[e]
+                    prod *= self.r if mask == full else mask.bit_count()
+                return prod
+            # only palette searches have star tables, and their leaves weigh 1
+            meter = self.meter
+            meter[0] -= 1
+            if meter[0] < 0:
+                raise _exhausted(meter)
+            live = star.ones
+            for e, dom in star.doms:
+                live &= dom[cand[e]]
+            colors = self.colors
+            for ab, table in star.pairs:
+                live &= table[colors[ab]]
+            return live.bit_count()
         colors = self.colors
         meter = self.meter
         e = plan.order[pos]
@@ -304,8 +436,7 @@ class _Searcher:
             mask ^= bit
             meter[0] -= 1
             if meter[0] < 0:
-                raise ResourceLimitError("node budget exhausted during backtracking",
-                                         nodes_visited=meter[1] - meter[0])
+                raise _exhausted(meter)
             colors[e] = bit
             trail = []
             dead = False
@@ -328,7 +459,9 @@ class _Searcher:
         return total
 
 
-def _search_plans(graph: Graph) -> list[_ComponentPlan]:
+def _search_plans(graph: Graph, masks: list[int] | None = None) -> list[_ComponentPlan]:
+    """One plan per triangle-connected component; given palette masks, the
+    plans carry star tables for them."""
     m = graph.edge_count
     triples = _triangle_edge_triples(graph)
     components = _edge_components(m, triples)
@@ -344,13 +477,23 @@ def _search_plans(graph: Graph) -> list[_ComponentPlan]:
         tri_of_edge[a].append((b, c))
         tri_of_edge[b].append((a, c))
         tri_of_edge[c].append((a, b))
-    return [_ComponentPlan(comp, tri_of_edge) for comp in components]
+    ends = graph.edges()
+    return [_ComponentPlan(comp, tri_of_edge, ends, masks) for comp in components]
 
 
 def count_gallai_with_palettes(graph: Graph, palette_masks, *,
                                node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Gallai colorings of the graph where edge i draws its color from the bitmask
-    palette_masks[i] (bit c-1 stands for color c), aligned with graph.edges()."""
+    palette_masks[i] (bit c-1 stands for color c), aligned with graph.edges().
+
+    The same search as :func:`count_gallai`, without the new-color window.
+    Each component's plan ends, where it can, with a star: a suffix of edges
+    at one vertex whose palette sizes multiply to at most
+    ``_STAR_TABLE_BITS``.  Its truth tables are built once per call, and the
+    search counts the star's completions under a colored prefix as the
+    popcount of an AND of table rows, one node per evaluation.  node_budget
+    bounds the search nodes of the whole call.
+    """
     masks = list(palette_masks)
     m = graph.edge_count
     if len(masks) != m:
@@ -364,7 +507,7 @@ def count_gallai_with_palettes(graph: Graph, palette_masks, *,
     # past every palette's highest bit no color is new: the search is plain
     start = max(masks).bit_length()
     searcher = _Searcher(masks, node_budget, {start: 1}, -1, 0)
-    return searcher.count(_search_plans(graph), start)
+    return searcher.count(_search_plans(graph, masks), start)
 
 
 def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:

@@ -139,6 +139,14 @@ class TestTemplateCommands:
                            "--graph", "C4")
         assert payload["count"] == str(3**4)
 
+    def test_count_ga_budget_exhaustion_exits_3(self, capsys, full_template_file):
+        code, out, err = run(capsys, "--node-budget", "1", "template", "count-ga",
+                             full_template_file)
+        assert code == 3
+        assert not out
+        assert "budget exhausted" in err
+        assert "Traceback" not in err
+
     def test_malformed_template_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.tpl"
         bad.write_text("3 3\n0 1 111\n")

@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb, log2
+from math import comb, log2, prod
 
 import networkx as nx
 import pytest
@@ -34,6 +34,15 @@ DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 WHEEL4 = Graph.from_edges(
     5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4), (2, 4), (3, 4)])
+
+
+def disjoint_union(g, h):
+    return Graph.from_edges(g.n + h.n, list(g.edges())
+                            + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
+# K4 on 0..3 and a diamond on 4..7: two triangle-connected components
+K4_AND_DIAMOND = disjoint_union(complete(4), DIAMOND)
 
 # values produced by the full mixed-radix scan, kept as an independent anchor
 FROZEN_COUNTS = [
@@ -134,6 +143,24 @@ class TestOracleEquivalence:
             assert counts == sorted(counts)
 
 
+def least_budget(count, graph):
+    """The least node_budget under which count(graph, node_budget) finishes."""
+    def fits(budget):
+        try:
+            count(graph, budget)
+        except ResourceLimitError:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
 class TestGenerators:
     def test_gallai_colorings_matches_filter(self):
         g = complete(4)
@@ -163,36 +190,41 @@ class TestGenerators:
             count_gallai(complete(6), 3, node_budget=50)
 
     def test_node_budget_covers_every_component_of_one_call(self):
-        # K4 on 0..3 and a diamond on 4..7: two triangle-connected components
-        union = Graph.from_edges(8, list(complete(4).edges())
-                                 + [(u + 4, v + 4) for u, v in DIAMOND.edges()])
+        def count(graph, budget):
+            return count_gallai(graph, 4, node_budget=budget)
 
-        def fits(graph, budget):
-            try:
-                count_gallai(graph, 4, node_budget=budget)
-            except ResourceLimitError:
-                return False
-            return True
-
-        def least_budget(graph):
-            lo, hi = 0, 1
-            while not fits(graph, hi):
-                lo, hi = hi, 2 * hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if fits(graph, mid) else (mid, hi)
-            return hi
-
-        need = least_budget(complete(4)) + least_budget(DIAMOND)
-        assert least_budget(union) == need
+        need = least_budget(count, complete(4)) + least_budget(count, DIAMOND)
+        assert least_budget(count, K4_AND_DIAMOND) == need
         with pytest.raises(ResourceLimitError):
-            count_gallai(union, 4, node_budget=need - 1)
-        assert count_gallai(union, 4, node_budget=need) \
+            count_gallai(K4_AND_DIAMOND, 4, node_budget=need - 1)
+        assert count_gallai(K4_AND_DIAMOND, 4, node_budget=need) \
             == count_gallai(complete(4), 4) * count_gallai(DIAMOND, 4)
 
+    def test_palette_node_budget_covers_every_component_of_one_call(self):
+        k4_masks = [0b0111, 0b1110, 0b1011, 0b0111, 0b1101, 0b1111]
+        diamond_masks = [0b1111, 0b0110, 0b0111, 0b1011, 0b1110]
+        masks = {complete(3): [0b111] * 3, complete(4): k4_masks, DIAMOND: diamond_masks,
+                 K4_AND_DIAMOND: k4_masks + diamond_masks}
+        # both components end in a star that the tables count
+        assert all(plan.star is not None
+                   for plan in gallai.counting._search_plans(K4_AND_DIAMOND,
+                                                              masks[K4_AND_DIAMOND]))
 
-def reference_plan(comp, tri_of_edge):
-    """The plain greedy: rescore every remaining edge at every step."""
+        def count(graph, budget):
+            return count_gallai_with_palettes(graph, masks[graph], node_budget=budget)
+
+        # K3's first edge tries 3 colors, and each is one star evaluation
+        assert least_budget(count, complete(3)) == 6
+        need = least_budget(count, complete(4)) + least_budget(count, DIAMOND)
+        assert least_budget(count, K4_AND_DIAMOND) == need
+        with pytest.raises(ResourceLimitError):
+            count(K4_AND_DIAMOND, need - 1)
+        assert count(K4_AND_DIAMOND, need) == count(complete(4), need) * count(DIAMOND, need)
+
+
+def reference_plan(comp, tri_of_edge, ends, sizes):
+    """The plain greedy: rescore every remaining edge at every step; the star
+    is the longest suffix at one vertex whose palette sizes fit the table."""
     placed, order = set(), []
     remaining = sorted(comp)
     while remaining:
@@ -215,7 +247,14 @@ def reference_plan(comp, tri_of_edge):
     for e in comp:
         for f, g in tri_of_edge[e]:
             tail_start = max(tail_start, sorted((pos[e], pos[f], pos[g]))[1] + 1)
-    return order, narrow, tail_start
+
+    def star_fits(start):
+        suffix = order[start:]
+        at_one_vertex = not suffix or set.intersection(*(set(ends[e]) for e in suffix))
+        return bool(at_one_vertex) and \
+            prod(sizes[e] for e in suffix) <= gallai.counting._STAR_TABLE_BITS
+    star_start = min(s for s in range(len(order) + 1) if star_fits(s))
+    return order, narrow, tail_start, star_start
 
 
 class TestSearchPlan:
@@ -231,13 +270,24 @@ class TestSearchPlan:
             tri_of_edge[ab].append((ac, bc))
             tri_of_edge[ac].append((ab, bc))
             tri_of_edge[bc].append((ab, ac))
-        plans = gallai.counting._search_plans(graph)
+        # palettes of 1..8 colors, so some stars are cut short by the table cap
+        rng = random.Random(len(edges))
+        masks = [sum(1 << c for c in rng.sample(range(8), rng.randint(1, 8))) for _ in edges]
+        sizes = [mask.bit_count() for mask in masks]
+        plans = gallai.counting._search_plans(graph, masks)
         assert sorted(e for plan in plans for e in plan.order) == list(range(len(edges)))
         for plan in plans:
-            order, narrow, tail_start = reference_plan(sorted(plan.order), tri_of_edge)
+            order, narrow, tail_start, star_start = reference_plan(
+                sorted(plan.order), tri_of_edge, edges, sizes)
             assert plan.order == order
             assert plan.narrow == narrow
             assert plan.tail_start == tail_start
+            assert plan.star_start == star_start
+            assert (plan.star is not None) == (star_start < tail_start)
+        # without palettes there is no star, and count_gallai always branches
+        for plan in gallai.counting._search_plans(graph):
+            assert plan.star_start == len(plan.order)
+            assert plan.star is None
 
     def test_component_deeper_than_the_stack_is_a_budget_error(self):
         # the search recurses once per edge; K70 has 2415 edges in one component
@@ -330,6 +380,74 @@ class TestPaletteCounting:
     def test_palette_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             count_gallai_with_palettes(complete(3), [0b1, 0b1])
+
+    def test_star_tables_agree_with_branching_and_enumeration(self):
+        rng = random.Random(61)
+        seen = {"components": 0, "narrowed star": 0, "sizes": set(), "enumerated": 0}
+        for trial in range(150):
+            if trial % 3:
+                g = random_graph(rng, rng.randint(3, 7))
+            else:
+                g = disjoint_union(random_graph(rng, rng.randint(3, 4)),
+                                   random_graph(rng, rng.randint(3, 4)))
+            m = g.edge_count
+            if m == 0:
+                continue
+            r = rng.randint(1, 5)
+            masks = []
+            for _ in range(m):
+                colors = rng.sample(range(r), rng.randint(1, r))
+                masks.append(sum(1 << c for c in colors))
+                seen["sizes"].add(len(colors))
+            count = count_gallai_with_palettes(g, masks)
+            assert count == branching_palette_count(g, masks)
+            width = max(masks).bit_length()
+            if width**m <= 10**6:
+                assert count == enumerated_palette_count(g, masks)
+                seen["enumerated"] += 1
+            plans = gallai.counting._search_plans(g, masks)
+            seen["components"] += sum(len(plan.order) > 1 for plan in plans) >= 2
+            seen["narrowed star"] += any(narrowed_star(plan, g.edges()) for plan in plans)
+        assert seen["components"] >= 10
+        assert seen["narrowed star"] >= 1
+        assert seen["sizes"] == {1, 2, 3, 4, 5}
+        assert seen["enumerated"] >= 50
+
+    def test_star_wider_than_the_table_is_cut_short(self):
+        # K8 in 16 colors: the last vertex's 7 edges take every color and the
+        # rest one or two, so only 3 star edges fit 2^12 table bits
+        rng = random.Random(67)
+        g = complete(8)
+        masks = [(1 << 16) - 1 if v == 7 else
+                 sum(1 << c for c in rng.sample(range(16), rng.randint(1, 2)))
+                 for u, v in g.edges()]
+        [plan] = gallai.counting._search_plans(g, masks)
+        assert len(plan.order) - plan.star_start == 3
+        assert narrowed_star(plan, g.edges())
+        assert count_gallai_with_palettes(g, masks) == branching_palette_count(g, masks)
+
+
+def branching_palette_count(graph, masks):
+    """The palette search on plans without star tables: it branches on every edge."""
+    start = max(masks).bit_length()
+    searcher = gallai.counting._Searcher(masks, 10**9, {start: 1}, -1, 0)
+    return searcher.count(gallai.counting._search_plans(graph), start)
+
+
+def enumerated_palette_count(graph, masks):
+    r = max(masks).bit_length()
+    return sum(1 for combo in gallai_colorings(graph, r)
+               if all(mask >> (c - 1) & 1 for mask, c in zip(masks, combo)))
+
+
+def narrowed_star(plan, ends):
+    """True when an edge at the star's vertex precedes the star in the plan,
+    so the prefix can narrow the star's candidates."""
+    star = plan.order[plan.star_start:]
+    if plan.star is None or len(star) < 2:
+        return False
+    [vertex] = set.intersection(*(set(ends[e]) for e in star))
+    return any(vertex in ends[e] for e in plan.order[:plan.star_start])
 
 
 class TestMatchingAndDeviation:
