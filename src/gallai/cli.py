@@ -1,7 +1,7 @@
 """Command-line surface: one JSON object per run on stdout, logs on stderr.
 
-Exit codes: 0 success, 2 usage or invalid input, 3 budget exhausted,
-4 unparseable graph or template file.
+Exit codes: 0 success, 2 usage, invalid input or a file that cannot be read,
+3 budget exhausted, 4 unparseable graph or template file.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from math import isfinite, log2
 from pathlib import Path
@@ -36,10 +37,18 @@ class RunConfig:
                 raise InvalidInputError(f"config value {key} must be positive")
 
 
+def _read_utf8(path, error: type[Exception]) -> str:
+    """File text; undecodable bytes raise ``error``, which picks the exit code."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def load_config(path) -> RunConfig:
     """Parse a flat key=value file; unknown keys are rejected."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_utf8(path, InvalidInputError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -74,7 +83,13 @@ def _apply_flag_overrides(config: RunConfig, args) -> RunConfig:
 
 
 def _load_template(path) -> templates.Template:
-    return templates.template_from_text(Path(path).read_text())
+    return templates.template_from_text(_read_utf8(path, ParseError))
+
+
+def _digits(count: int) -> str:
+    """Decimal digits of an exact count.  str() refuses ints past the
+    interpreter's digit limit (4300 by default); Decimal is not bound by it."""
+    return str(Decimal(count))
 
 
 def _template_coloring(template: templates.Template, graph: Graph) -> counting.Coloring:
@@ -124,7 +139,7 @@ def _cmd_count(args, config: RunConfig) -> dict:
         count = counting.count_gallai(graph, args.r, node_budget=config.node_budget)
     return {"graph": graph6_encode(graph), "n": graph.n, "edges": graph.edge_count,
             "r": args.r, "method": "naive" if args.naive else "pruned",
-            "count": str(count)}
+            "count": _digits(count)}
 
 
 def _table_json(table: extremal.ExtremalTable) -> dict:
@@ -133,10 +148,10 @@ def _table_json(table: extremal.ExtremalTable) -> dict:
         "r": table.r,
         "authoritative": table.authoritative,
         "rows": [{"g6": row.g6, "edges": row.edges,
-                  "count": None if row.count is None else str(row.count)}
+                  "count": None if row.count is None else _digits(row.count)}
                  for row in table.rows],
         "argmax": list(table.argmax_g6),
-        "max_count": None if table.max_count is None else str(table.max_count),
+        "max_count": None if table.max_count is None else _digits(table.max_count),
     }
 
 
@@ -159,7 +174,7 @@ def _cmd_template(args, config: RunConfig) -> dict:
     graph = graph_from_name(args.graph) if args.graph else complete(template.n)
     count = templates.count_ga(template, graph, node_budget=config.node_budget)
     return {"n": template.n, "r": template.r, "graph": graph6_encode(graph),
-            "count": str(count)}
+            "count": _digits(count)}
 
 
 def _cmd_hypergraph(args, config: RunConfig) -> dict:
@@ -175,7 +190,7 @@ def _cmd_hypergraph(args, config: RunConfig) -> dict:
                 "delta2": stats.delta2, "delta3": stats.delta3,
                 "measured": explicit}
     audit = containers.audit_params(args.n, args.r)
-    params = containers.container_params(args.n, args.r, c_cap=config.container_c)
+    params = containers.container_params(args.n, args.r)
     tau = args.tau if args.tau is not None else params.tau
     codegree = containers.codegree_function(args.n, args.r, tau) if 0 < tau < 1 else None
     return {"n": args.n, "r": args.r, "tau": tau, "epsilon": params.epsilon,
@@ -228,7 +243,8 @@ def _cmd_stability(args, config: RunConfig) -> dict:
         return {"removed": list(result.removed_order),
                 "residual_vertices": list(result.residual_vertices),
                 "residual_edges": result.residual.edge_count if result.residual else 0}
-    report = stability.supersaturation_check(graph, args.k, args.t)
+    report = stability.supersaturation_check(graph, args.k, args.t,
+                                             node_budget=config.node_budget)
     return {"t_far": report.t_far, "bound": report.bound,
             "cliques": report.cliques, "ok": report.ok}
 
@@ -253,7 +269,7 @@ def _cmd_bounds(args, config: RunConfig) -> dict:
     bounds = counting.asymptotic_bounds(args.n, args.r)
     two_color = counting.lower_bound_two_color(args.n, args.r)
     return {"n": args.n, "r": args.r,
-            "lower_two_color": str(two_color),
+            "lower_two_color": _digits(two_color),
             "lower_two_color_log2": log2(two_color),
             "lower_simple_log2": bounds.trivial_lower_log2,
             "upper_log2": bounds.main_upper_log2}
@@ -396,7 +412,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(result, sort_keys=True, allow_nan=False))

@@ -17,7 +17,7 @@ from math import comb, isqrt, log2
 
 from .counting import gallai_colorings
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from .graphs import Graph, complete, edge_index, edge_pairs
+from .graphs import complete, edge_pairs
 from .templates import Template, rt_count
 
 BUILD_N_LIMIT = 10
@@ -50,7 +50,7 @@ def build(n: int, r: int) -> RainbowHypergraph:
             "use closed_form_stats for larger parameters")
     vertices = tuple((e, d) for e in edge_pairs(n) for d in range(1, r + 1))
     edges = []
-    for a, b, c in itertools.combinations(range(n), 3):
+    for a, b, c in complete(n).triangles():
         e1, e2, e3 = (a, b), (a, c), (b, c)
         for d1, d2, d3 in itertools.permutations(range(1, r + 1), 3):
             edges.append(frozenset({(e1, d1), (e2, d2), (e3, d3)}))
@@ -94,8 +94,7 @@ def closed_form_stats(n: int, r: int) -> DegreeStats:
 def template_vertices(template: Template) -> frozenset[tuple[tuple[int, int], int]]:
     """Hypergraph vertex set {(e, d) : d in P(e)} induced by a template."""
     out = []
-    for u, v in edge_pairs(template.n):
-        mask = template.palettes[edge_index(template.n, u, v)]
+    for (u, v), mask in zip(edge_pairs(template.n), template.palettes):
         for c in range(template.r):
             if mask >> c & 1:
                 out.append(((u, v), c + 1))
@@ -123,21 +122,20 @@ class ContainerParams:
     epsilon_exponent: Fraction
     epsilon_factor: Fraction
     tau: float
-    c_cap: float = DEFAULT_C_CAP
 
     @property
     def epsilon(self) -> float:
         return float(self.epsilon_factor) * self.n ** float(self.epsilon_exponent)
 
 
-def container_params(n: int, r: int, *, c_cap: float = DEFAULT_C_CAP) -> ContainerParams:
+def container_params(n: int, r: int) -> ContainerParams:
     if n < 3 or r < 3:
         raise InvalidParameterError("need n >= 3 and r >= 3")
     tau = (432 * r) ** 0.5 * n ** (-1.0 / 3.0)
     return ContainerParams(n, r,
                            epsilon_exponent=Fraction(-1, 3),
                            epsilon_factor=Fraction(1, r * (r - 1) * (r - 2)),
-                           tau=tau, c_cap=c_cap)
+                           tau=tau)
 
 
 def codegree_function(n: int, r: int, tau: float) -> float:
@@ -271,8 +269,7 @@ def verify_cover(family, n: int, r: int, c: float, *,
                 break
     else:
         rng = random.Random(seed)
-        triples = [(edge_index(n, a, b), edge_index(n, a, c), edge_index(n, b, c))
-                   for a, b, c in itertools.combinations(range(n), 3)]
+        triples = graph.triangle_edges()
         m = comb(n, 2)
         for k in range(sample_size):
             assignment = None

@@ -23,10 +23,9 @@ from math import comb, log2
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from .graphs import Graph
+from .graphs import DEFAULT_NODE_BUDGET, Graph
 
 DEFAULT_LEAF_BUDGET = 10**8
-DEFAULT_NODE_BUDGET = 10**9
 # stack frames kept free below the recursion limit for the search's callers
 _CALLER_FRAMES = 200
 # most bits in a star truth table: the product of the star edges' palette sizes
@@ -101,12 +100,6 @@ def is_gallai(graph: Graph, coloring: Coloring) -> bool:
 # naive route: full enumeration with vectorized triangle checks
 
 
-def _triangle_edge_triples(graph: Graph) -> list[tuple[int, int, int]]:
-    edges = graph.edges()
-    pos = {e: i for i, e in enumerate(edges)}
-    return [(pos[(a, b)], pos[(a, c)], pos[(b, c)]) for a, b, c in graph.triangles()]
-
-
 def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDGET,
                    chunk: int = 1 << 16):
     """Sweep all r^e(G) colorings in chunks.
@@ -123,7 +116,7 @@ def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDG
     total = r**m
     if total > leaf_budget:
         raise ResourceLimitError(f"r^e = {total} colorings exceed the leaf budget {leaf_budget}")
-    triples = _triangle_edge_triples(graph)
+    triples = graph.triangle_edges()
     powers = [r**e for e in range(m)]
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
@@ -161,7 +154,7 @@ def gallai_colorings(graph: Graph, r: int, *, leaf_budget: int = 10**7):
     m = graph.edge_count
     if r**m > leaf_budget:
         raise ResourceLimitError(f"r^e = {r**m} colorings exceed the leaf budget {leaf_budget}")
-    triples = _triangle_edge_triples(graph)
+    triples = graph.triangle_edges()
     for assignment in itertools.product(range(1, r + 1), repeat=m):
         ok = True
         for a, b, c in triples:
@@ -463,7 +456,7 @@ def _search_plans(graph: Graph, masks: list[int] | None = None) -> list[_Compone
     """One plan per triangle-connected component; given palette masks, the
     plans carry star tables for them."""
     m = graph.edge_count
-    triples = _triangle_edge_triples(graph)
+    triples = graph.triangle_edges()
     components = _edge_components(m, triples)
     # the search recurses once per edge of a component, below its callers
     depth_cap = sys.getrecursionlimit() - _CALLER_FRAMES

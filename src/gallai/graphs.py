@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .errors import InvalidParameterError, ParseError, ResourceLimitError
 ALL_GRAPHS_LIMIT = 7
 # Canonical forms minimize over all n! vertex permutations.
 CANONICAL_LIMIT = 8
+# Default bound on the search nodes of one enumeration call.
+DEFAULT_NODE_BUDGET = 10**9
 
 
 def edge_index(n: int, u: int, v: int) -> int:
@@ -111,6 +113,13 @@ class Graph:
                 c += 1
         return out
 
+    def triangle_edges(self) -> list[tuple[int, int, int]]:
+        """Each triangle (a, b, c) of ``triangles()`` as the positions of its
+        edges ab, ac, bc in ``edges()``; on ``complete(n)`` these are
+        ``edge_index`` slots."""
+        pos = {e: i for i, e in enumerate(self.edges())}
+        return [(pos[(a, b)], pos[(a, c)], pos[(b, c)]) for a, b, c in self.triangles()]
+
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise InvalidParameterError(f"bad edge ({u}, {v})")
@@ -197,12 +206,7 @@ def cycle(n: int) -> Graph:
 
 def booksize(graph: Graph) -> int:
     """Largest number of common neighbors over the endpoint pairs of edges."""
-    best = 0
-    for u, v in graph.edges():
-        size = (graph.adj[u] & graph.adj[v]).bit_count()
-        if size > best:
-            best = size
-    return best
+    return booksize_edge(graph)[0]
 
 
 def booksize_edge(graph: Graph) -> tuple[int, tuple[int, int] | None]:
@@ -237,11 +241,13 @@ def count_cliques(graph: Graph, k: int) -> int:
     return rec((1 << n) - 1, k)
 
 
-def max_k_partite_edges(graph: Graph, k: int) -> int:
+def max_k_partite_edges(graph: Graph, k: int, *,
+                        node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Largest edge count of a spanning k-partite subgraph (exact max k-cut).
 
     Branch and bound over vertex-to-part assignments with symmetry breaking:
     vertex 0 always sits in part 0 and a vertex may only open one new part.
+    Every branch node costs one unit of node_budget.
     """
     n = graph.n
     if not 1 <= k <= n:
@@ -255,10 +261,15 @@ def max_k_partite_edges(graph: Graph, k: int) -> int:
         for t in range(v + 1):
             undecided[t] += 1
     best = 0
+    nodes = 0
     parts = [0] * k
 
     def rec(v: int, cut: int, used: int):
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError("node budget exhausted during the max k-cut search",
+                                     nodes_visited=nodes)
         if v == n:
             if cut > best:
                 best = cut
@@ -278,11 +289,11 @@ def max_k_partite_edges(graph: Graph, k: int) -> int:
     return best
 
 
-def t_far(graph: Graph, k: int, t: int) -> bool:
+def t_far(graph: Graph, k: int, t: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True when removing fewer than t edges cannot make the graph k-partite."""
     if t < 0:
         raise InvalidParameterError("t must be >= 0")
-    return graph.edge_count - max_k_partite_edges(graph, k) >= t
+    return graph.edge_count - max_k_partite_edges(graph, k, node_budget=node_budget) >= t
 
 
 def lovasz_triangle_bound(m: int) -> float:
@@ -313,36 +324,40 @@ def _mask_to_graph(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def canonical_form(graph: Graph, *, max_n: int = CANONICAL_LIMIT) -> bytes:
+def _relabel_weights(n: int) -> np.ndarray:
+    """(n!, C(n,2)) table: entry (p, i) is the packed-mask bit that pair i of
+    ``edge_pairs(n)`` sets after the p-th vertex permutation, so a mask with
+    pair bits b relabels to ``table @ b``."""
+    pairs = edge_pairs(n)
+    slot = np.zeros((n, n), dtype=np.int64)
+    for i, (u, v) in enumerate(pairs):
+        slot[u, v] = slot[v, u] = i
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return np.int64(1) << (len(pairs) - 1 - slot[perms[:, u], perms[:, v]])
+
+
+def canonical_form(graph: Graph) -> bytes:
     """Canonical adjacency encoding: minimal packed edge bitstring over all n!
     vertex relabelings.  Two graphs are isomorphic iff their forms are equal."""
     n = graph.n
-    if n > max_n:
-        raise ResourceLimitError(f"canonical form minimizes over n! permutations; n={n} > {max_n}")
-    m = n * (n - 1) // 2
-    edges = graph.edges()
-    best = None
-    for perm in itertools.permutations(range(n)):
-        val = 0
-        for u, v in edges:
-            pu, pv = perm[u], perm[v]
-            if pu > pv:
-                pu, pv = pv, pu
-            val |= 1 << (m - 1 - edge_index(n, pu, pv))
-        if best is None or val < best:
-            best = val
-    return _mask_to_bytes(best if best is not None else 0, m)
+    if n > CANONICAL_LIMIT:
+        raise ResourceLimitError(
+            f"canonical form minimizes over n! permutations; n={n} > {CANONICAL_LIMIT}")
+    slots = [edge_index(n, u, v) for u, v in graph.edges()]
+    best = int(_relabel_weights(n)[:, slots].sum(axis=1).min())
+    return _mask_to_bytes(best, comb(n, 2))
 
 
-def canonical_graph(graph: Graph, *, max_n: int = CANONICAL_LIMIT) -> Graph:
+def canonical_graph(graph: Graph) -> Graph:
     """The isomorphism-class representative whose encoding is canonical_form."""
-    form = canonical_form(graph, max_n=max_n)
+    form = canonical_form(graph)
     m = graph.n * (graph.n - 1) // 2
     mask = int.from_bytes(form, "big") >> (8 * len(form) - m) if form else 0
     return _mask_to_graph(graph.n, mask, edge_pairs(graph.n))
 
 
-def all_graphs(n: int, *, limit: int = ALL_GRAPHS_LIMIT):
+def all_graphs(n: int):
     """One (form, graph) pair per isomorphism class on n vertices, by labeled
     enumeration with orbit dedup, in increasing order of form.
 
@@ -351,27 +366,18 @@ def all_graphs(n: int, *, limit: int = ALL_GRAPHS_LIMIT):
     without the n! search either would make."""
     if n < 1:
         raise InvalidParameterError("need n >= 1")
-    if n > limit:
-        raise ResourceLimitError(f"labeled enumeration walks 2^C(n,2) graphs; n={n} > {limit}")
+    if n > ALL_GRAPHS_LIMIT:
+        raise ResourceLimitError(
+            f"labeled enumeration walks 2^C(n,2) graphs; n={n} > {ALL_GRAPHS_LIMIT}")
     pairs = edge_pairs(n)
     m = len(pairs)
-    nperm = factorial(n)
-    perm_maps = np.empty((nperm, m), dtype=np.int64)
-    for pi, perm in enumerate(itertools.permutations(range(n))):
-        for i, (u, v) in enumerate(pairs):
-            pu, pv = perm[u], perm[v]
-            if pu > pv:
-                pu, pv = pv, pu
-            perm_maps[pi, edge_index(n, pu, pv)] = i
-    shifts = (m - 1 - np.arange(m)).astype(np.int64)
-    weights = (np.int64(1) << shifts).astype(np.int64)
+    weights = _relabel_weights(n)
+    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
     seen = np.zeros(1 << m, dtype=bool)
     for mask in range(1 << m):
         if seen[mask]:
             continue
-        bits = ((mask >> shifts) & 1).astype(np.int64)
-        orbit = bits[perm_maps] @ weights
-        seen[orbit] = True
+        seen[weights @ ((mask >> shifts) & 1)] = True
         yield _mask_to_bytes(mask, m), _mask_to_graph(n, mask, pairs)
 
 

@@ -16,7 +16,7 @@ from math import comb
 
 from .counting import Coloring, _check_total
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from .graphs import Graph, booksize_edge, count_cliques, t_far
+from .graphs import DEFAULT_NODE_BUDGET, Graph, booksize_edge, count_cliques, t_far
 from .templates import Template, r_edges
 
 DICHOTOMY_LIMIT = 12
@@ -363,17 +363,19 @@ class SupersatReport:
     ok: bool
 
 
-def supersaturation_check(graph: Graph, k: int, t: int) -> SupersatReport:
+def supersaturation_check(graph: Graph, k: int, t: int, *,
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> SupersatReport:
     """Count (k+1)-cliques against the supersaturation lower bound.
 
     A graph t-far from k-partite must contain at least
     n^(k-1) / (e^(2k) k!) (e(G) + t - (1 - 1/k) n^2 / 2) cliques on k+1
-    vertices; graphs that are not t-far pass vacuously.
+    vertices; graphs that are not t-far pass vacuously.  node_budget bounds
+    the max k-cut search that decides t-farness.
     """
     if k < 1 or t < 1:
         raise InvalidParameterError("need k >= 1 and t >= 1")
     n = graph.n
-    far = t_far(graph, k, t)
+    far = t_far(graph, k, t, node_budget=node_budget)
     bound = (n ** (k - 1) / (math.exp(2 * k) * math.factorial(k))
              * (graph.edge_count + t - (1 - 1 / k) * n * n / 2))
     cliques = count_cliques(graph, k + 1)

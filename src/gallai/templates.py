@@ -8,13 +8,12 @@ triangles realizable inside P.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, log2
 
 from .counting import Coloring, count_gallai_with_palettes, DEFAULT_NODE_BUDGET
 from .errors import InvalidInputError, InvalidParameterError, ParseError
-from .graphs import Graph, edge_index, edge_pairs
+from .graphs import Graph, complete, edge_index, edge_pairs
 
 MAX_COLORS = 16
 
@@ -105,30 +104,16 @@ def _distinct_triples(a: int, b: int, c: int) -> int:
 
 def rt_count(template: Template) -> int:
     """Number of rainbow triangles realizable inside the template."""
-    n = template.n
     pal = template.palettes
-    total = 0
-    for a, b, c in itertools.combinations(range(n), 3):
-        total += _distinct_triples(
-            pal[edge_index(n, a, b)], pal[edge_index(n, a, c)], pal[edge_index(n, b, c)])
-    return total
+    return sum(_distinct_triples(pal[a], pal[b], pal[c])
+               for a, b, c in complete(template.n).triangle_edges())
 
 
 def rt_through_edge(template: Template, u: int, v: int) -> int:
     """Rainbow triangles realizable through one fixed edge."""
-    if u > v:
-        u, v = v, u
-    n = template.n
-    pal = template.palettes
-    base = pal[edge_index(n, u, v)]
-    total = 0
-    for w in range(n):
-        if w == u or w == v:
-            continue
-        a, b = min(u, w), max(u, w)
-        c, d = min(v, w), max(v, w)
-        total += _distinct_triples(base, pal[edge_index(n, a, b)], pal[edge_index(n, c, d)])
-    return total
+    base = template.palette(u, v)
+    return sum(_distinct_triples(base, template.palette(u, w), template.palette(v, w))
+               for w in range(template.n) if w != u and w != v)
 
 
 def is_gallai_template(template: Template, graph: Graph) -> bool:
@@ -140,9 +125,8 @@ def is_gallai_template(template: Template, graph: Graph) -> bool:
     if graph.n > template.n:
         raise InvalidInputError("graph order exceeds template order")
     n = template.n
-    for u, v in graph.edges():
-        if template.palettes[edge_index(n, u, v)] == 0:
-            return False
+    if any(template.palette(u, v) == 0 for u, v in graph.edges()):
+        return False
     rt = rt_count(template)
     return rt**3 * n <= comb(n, 3) ** 3
 
@@ -152,8 +136,7 @@ def count_ga(template: Template, graph: Graph, *,
     """Gallai colorings of the graph drawing every edge color from its palette."""
     if graph.n > template.n:
         raise InvalidInputError("graph order exceeds template order")
-    n = template.n
-    masks = [template.palettes[edge_index(n, u, v)] for u, v in graph.edges()]
+    masks = [template.palette(u, v) for u, v in graph.edges()]
     return count_gallai_with_palettes(graph, masks, node_budget=node_budget)
 
 
@@ -233,15 +216,14 @@ def classify_triangles(template: Template, mode: str) -> TriangleTally:
         "dense-generic": _classify_dense_generic,
         "dense4": _classify_dense4,
     }[mode]
-    n = template.n
     pal = template.palettes
     tally = {label: 0 for label in ("T1", "T2", "T3", "T4", "T5")}
-    for a, b, c in itertools.combinations(range(n), 3):
-        masks = (pal[edge_index(n, a, b)], pal[edge_index(n, a, c)], pal[edge_index(n, b, c)])
+    for a, b, c in complete(template.n).triangle_edges():
+        masks = (pal[a], pal[b], pal[c])
         sizes = tuple(m.bit_count() for m in masks)
         tally[classify(sizes, masks)] += 1
     result = TriangleTally(mode, tuple(tally.items()))
-    assert result.total() == comb(n, 3)
+    assert result.total() == comb(template.n, 3)
     return result
 
 
@@ -274,8 +256,8 @@ def product_log_bound(template: Template) -> ProductLogBound:
     if n < 3:
         return ProductLogBound(edge_sum, 0.0 if edge_sum == 0.0 else edge_sum)
     tri_sum = 0.0
-    for a, b, c in itertools.combinations(range(n), 3):
-        tri_sum += logs[edge_index(n, a, b)] + logs[edge_index(n, a, c)] + logs[edge_index(n, b, c)]
+    for a, b, c in complete(n).triangle_edges():
+        tri_sum += logs[a] + logs[b] + logs[c]
     return ProductLogBound(edge_sum, tri_sum / (n - 2))
 
 

@@ -5,8 +5,9 @@ compare two genuinely different routes to the same answer.
 """
 import itertools
 import random
+from math import comb
 
-from gallai.graphs import Graph
+from gallai.graphs import Graph, edge_index
 from gallai.templates import Template
 
 
@@ -16,7 +17,6 @@ def random_graph(rng: random.Random, n: int) -> Graph:
 
 
 def random_template(rng: random.Random, n: int, r: int) -> Template:
-    from math import comb
     masks = tuple(rng.randrange(1 << r) for _ in range(comb(n, 2)))
     return Template(n, r, masks)
 
@@ -27,6 +27,26 @@ def brute_triangles(graph: Graph) -> list[tuple[int, int, int]]:
         for a, b, c in itertools.combinations(range(graph.n), 3)
         if graph.has_edge(a, b) and graph.has_edge(a, c) and graph.has_edge(b, c)
     ]
+
+
+def brute_canonical_form(graph: Graph) -> bytes:
+    """Minimal packed edge bitstring over all n! vertex relabelings, by a
+    plain loop over ``itertools.permutations``."""
+    n = graph.n
+    m = comb(n, 2)
+    edges = graph.edges()
+    best = None
+    for perm in itertools.permutations(range(n)):
+        val = 0
+        for u, v in edges:
+            pu, pv = perm[u], perm[v]
+            if pu > pv:
+                pu, pv = pv, pu
+            val |= 1 << (m - 1 - edge_index(n, pu, pv))
+        if best is None or val < best:
+            best = val
+    nbytes = (m + 7) // 8
+    return (best << (8 * nbytes - m)).to_bytes(nbytes, "big")
 
 
 def assignment_is_gallai(triangles, edge_pos, colors) -> bool:

@@ -1,3 +1,4 @@
+import decimal
 import json
 import time
 from math import comb
@@ -159,6 +160,26 @@ class TestTemplateCommands:
         assert code == 2
 
 
+class TestFileErrors:
+    # both files decode as Latin-1 into a valid template and config, so only
+    # strict UTF-8 decoding rejects them
+    @pytest.mark.parametrize("argv, expected", [
+        (("extremal", "--n", "3", "--r", "3", "--csv", "{dir}"), 2),
+        (("--cache", "{dir}", "extremal", "--n", "3", "--r", "3"), 2),
+        (("--config", "{dir}", "count", "K3", "--r", "3"), 2),
+        (("template", "rt", "{dir}"), 2),
+        (("template", "rt", "{tpl}"), 4),
+        (("--config", "{cfg}", "count", "K3", "--r", "3"), 2),
+    ])
+    def test_documented_exit_code(self, capsys, tmp_path, argv, expected):
+        tpl, cfg = tmp_path / "latin1.tpl", tmp_path / "latin1.cfg"
+        tpl.write_bytes(b"# caf\xe9\n3 3\n0 1 111\n0 2 111\n1 2 111\n")
+        cfg.write_bytes(b"# caf\xe9\nleaf_budget = 10\n")
+        code, out, err = run(capsys, *(a.format(dir=tmp_path, tpl=tpl, cfg=cfg) for a in argv))
+        assert (code, out) == (expected, "")
+        assert err.startswith("parse error:" if expected == 4 else "error:")
+
+
 class TestHypergraph:
     def test_stats_measured_within_build_limits(self, capsys):
         assert run_json(capsys, "hypergraph", "stats", "--n", "5", "--r", "3") == {
@@ -266,6 +287,14 @@ class TestStability:
         assert payload["cliques"] == 4
         assert payload["bound"] == pytest.approx(0.1098938333324051)
 
+    def test_supersat_honours_node_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--node-budget", "10000", "stability", "supersat",
+                             "--graph", "K20", "--k", "3", "--t", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "budget exhausted" in err
+
 
 class TestVerifyCover:
     def write_pair_family(self, directory, n):
@@ -333,6 +362,14 @@ class TestBounds:
         assert payload["lower_simple_log2"] == pytest.approx(16.59245703726808)
         assert payload["lower_two_color_log2"] == pytest.approx(16.584918472490713)
         assert payload["upper_log2"] == pytest.approx(16.94706834833339)
+
+    def test_counts_past_the_int_digit_limit_print_exactly(self, capsys):
+        payload = run_json(capsys, "bounds", "--n", "200", "--r", "3")
+        with decimal.localcontext() as ctx:
+            ctx.prec = 10_000
+            expected = str(decimal.Decimal(3 * 2**comb(200, 2) - 3))
+        assert len(expected) > 4300
+        assert payload["lower_two_color"] == expected
 
 
 class TestConfig:

@@ -5,10 +5,11 @@ from math import comb
 import networkx as nx
 import pytest
 
-from conftest import brute_triangles, random_graph
+from conftest import brute_canonical_form, brute_triangles, random_graph
 from gallai.errors import InvalidParameterError, ParseError, ResourceLimitError
 from gallai.graphs import (
     ALL_GRAPHS_LIMIT,
+    CANONICAL_LIMIT,
     Graph,
     all_graphs,
     book,
@@ -91,6 +92,20 @@ class TestTriangles:
         assert list(cycle(5).triangles()) == []
         assert list(complete_bipartite(3, 3).triangles()) == []
 
+    def test_triangle_edges_of_complete_graphs_are_edge_index_slots(self):
+        for n in range(1, 10):
+            assert complete(n).triangle_edges() == [
+                (edge_index(n, a, b), edge_index(n, a, c), edge_index(n, b, c))
+                for a, b, c in itertools.combinations(range(n), 3)]
+
+    def test_triangle_edges_are_positions_in_edges(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 9))
+            edges = g.edges()
+            assert [tuple(edges[i] for i in t) for t in g.triangle_edges()] == [
+                ((a, b), (a, c), (b, c)) for a, b, c in g.triangles()]
+
 
 class TestBooks:
     def test_booksize_values(self):
@@ -128,6 +143,14 @@ class TestCliquesAndPartitions:
                     cut = sum(1 for u, v in g.edges() if parts[u] != parts[v])
                     best = max(best, cut)
                 assert max_k_partite_edges(g, k) == best
+
+    def test_max_k_partite_search_is_metered(self):
+        g = complete(8)
+        assert max_k_partite_edges(g, 3) == 21
+        with pytest.raises(ResourceLimitError):
+            max_k_partite_edges(g, 3, node_budget=20)
+        with pytest.raises(ResourceLimitError):
+            t_far(g, 3, 1, node_budget=20)
 
     def test_t_far_tracks_max_cut(self):
         g = complete(4)
@@ -184,6 +207,27 @@ class TestIsomorphism:
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_form(g) == canonical_form(g.permuted(perm))
+
+    def test_canonical_form_matches_the_permutation_loop(self):
+        rng = random.Random(29)
+        for n in range(1, 9):
+            for _ in range(2 if n == 8 else 4):
+                g = random_graph(rng, n)
+                form = canonical_form(g)
+                assert form == brute_canonical_form(g)
+                rep = canonical_graph(g)
+                assert canonical_form(rep) == form
+                assert canonical_graph(rep) == rep
+                assert brute_canonical_form(rep) == form
+                assert nx.is_isomorphic(nx.Graph(rep.edges()), nx.Graph(g.edges()))
+                assert rep.n == n and rep.edge_count == g.edge_count
+
+    def test_canonical_form_limit(self):
+        too_big = complete(CANONICAL_LIMIT + 1)
+        with pytest.raises(ResourceLimitError):
+            canonical_form(too_big)
+        with pytest.raises(ResourceLimitError):
+            canonical_graph(too_big)
 
     def test_canonical_form_separates_classes(self):
         forms = [canonical_form(g) for _, g in all_graphs(4)]
