@@ -257,7 +257,7 @@ def _cmd_verify_cover(args, config: RunConfig) -> dict:
     c = args.c if args.c is not None else config.container_c
     certificate = containers.verify_cover(family, args.n, args.r, c,
                                           sample_size=config.sample_size,
-                                          seed=args.seed)
+                                          seed=args.seed, leaf_budget=config.leaf_budget)
     return {"n": args.n, "r": args.r, "family_size": certificate.family_size,
             "passed": certificate.passed,
             "coverage": _report_json(certificate.coverage),

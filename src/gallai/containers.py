@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, log2
 
-from .counting import gallai_colorings
+from .counting import DEFAULT_LEAF_BUDGET, gallai_colorings
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from .graphs import complete, edge_pairs
 from .templates import Template, rt_count
@@ -25,6 +25,8 @@ BUILD_R_LIMIT = 6
 # container-constant cap for k = 3: 1000 * (3!)^3 * 3
 DEFAULT_C_CAP = 648000.0
 DEFAULT_SAMPLE_SIZE = 10_000
+# uniform draws a rejection sample makes before it gives up
+_REJECTION_TRIES = 200
 
 # tau must stay below 1/(200 * (3!)^2 * 3)
 TAU_CEILING_DENOM = 200 * 36 * 3
@@ -228,8 +230,8 @@ def _two_color_sample(rng: random.Random, m: int, r: int) -> tuple[int, ...]:
     return tuple(rng.choice((i, j)) for _ in range(m))
 
 
-def _rejection_sample(rng: random.Random, m: int, r: int, triples, tries: int = 200):
-    for _ in range(tries):
+def _rejection_sample(rng: random.Random, m: int, r: int, triples):
+    for _ in range(_REJECTION_TRIES):
         assignment = tuple(rng.randrange(1, r + 1) for _ in range(m))
         if all(not (x != y and y != z and x != z)
                for x, y, z in ((assignment[a], assignment[b], assignment[c])
@@ -238,11 +240,27 @@ def _rejection_sample(rng: random.Random, m: int, r: int, triples, tries: int = 
     return None
 
 
+def _sampled_colorings(n: int, r: int, sample_size: int, seed: int):
+    """sample_size seeded colorings of K_n; odd draws try rejection sampling."""
+    rng = random.Random(seed)
+    triples = complete(n).triangle_edges()
+    m = comb(n, 2)
+    for k in range(sample_size):
+        assignment = None
+        if k % 2 and r >= 3:
+            assignment = _rejection_sample(rng, m, r, triples)
+        if assignment is None:
+            assignment = _two_color_sample(rng, m, r)
+        yield assignment
+
+
 def verify_cover(family, n: int, r: int, c: float, *,
-                 sample_size: int = DEFAULT_SAMPLE_SIZE, seed: int = 0) -> CoverCertificate:
+                 sample_size: int = DEFAULT_SAMPLE_SIZE, seed: int = 0,
+                 leaf_budget: int = DEFAULT_LEAF_BUDGET) -> CoverCertificate:
     """Check the three cover properties for a claimed template family.
 
-    Coverage is exhaustive for n <= 4 and sampled above that; the sampler
+    Coverage is exhaustive for n <= 4, a sweep of all r^C(n,2) colorings
+    that leaf_budget bounds, and sampled above that; the sampler
     mixes random two-color colorings with rejection-sampled uniform ones.
     Sparsity is the per-template integer test RT^3 * n <= C(n,3)^3, and the
     size bound compares log2 of the family size against c n^(-1/3) log2^2(n)
@@ -257,30 +275,18 @@ def verify_cover(family, n: int, r: int, c: float, *,
                 f"family member {idx} has order {template.n} and {template.r} colors; "
                 f"expected ({n}, {r})")
     palette_sets = [t.palettes for t in family]
-    graph = complete(n)
 
+    if n <= 4:
+        colorings = gallai_colorings(complete(n), r, leaf_budget=leaf_budget)
+    else:
+        colorings = _sampled_colorings(n, r, sample_size, seed)
     checked = 0
     witness = None
-    if n <= 4:
-        for assignment in gallai_colorings(graph, r):
-            checked += 1
-            if not any(_covered(p, assignment) for p in palette_sets):
-                witness = {"coloring": dict(zip(edge_pairs(n), assignment))}
-                break
-    else:
-        rng = random.Random(seed)
-        triples = graph.triangle_edges()
-        m = comb(n, 2)
-        for k in range(sample_size):
-            assignment = None
-            if k % 2 and r >= 3:
-                assignment = _rejection_sample(rng, m, r, triples)
-            if assignment is None:
-                assignment = _two_color_sample(rng, m, r)
-            checked += 1
-            if not any(_covered(p, assignment) for p in palette_sets):
-                witness = {"coloring": dict(zip(edge_pairs(n), assignment))}
-                break
+    for assignment in colorings:
+        checked += 1
+        if not any(_covered(p, assignment) for p in palette_sets):
+            witness = {"coloring": dict(zip(edge_pairs(n), assignment))}
+            break
     coverage = PropertyReport("coverage", witness is None, checked, witness)
 
     rhs = comb(n, 3) ** 3

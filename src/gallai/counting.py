@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,8 @@ from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from .graphs import DEFAULT_NODE_BUDGET, Graph
 
 DEFAULT_LEAF_BUDGET = 10**8
+# colorings per array of the full sweep
+_SCAN_CHUNK = 1 << 16
 # stack frames kept free below the recursion limit for the search's callers
 _CALLER_FRAMES = 200
 # most bits in a star truth table: the product of the star edges' palette sizes
@@ -100,30 +101,35 @@ def is_gallai(graph: Graph, coloring: Coloring) -> bool:
 # naive route: full enumeration with vectorized triangle checks
 
 
-def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDGET,
-                   chunk: int = 1 << 16):
-    """Sweep all r^e(G) colorings in chunks.
-
-    Yields (colors, gallai) pairs where ``colors`` is an (N, e) uint8 array of
-    0-based colors aligned with graph.edges() and ``gallai`` flags the rows
-    with no rainbow triangle.  The sweep is plain mixed-radix enumeration.
-    """
+def _sweep_size(graph: Graph, r: int, leaf_budget: int) -> int:
+    """r^e(G), the colorings a full sweep walks, once the leaf budget admits them."""
     if r < 1:
         raise InvalidParameterError("need r >= 1")
-    if not 1 <= r <= 255:
-        raise InvalidParameterError("color count does not fit the scan encoding")
-    m = graph.edge_count
-    total = r**m
+    total = r**graph.edge_count
     if total > leaf_budget:
         raise ResourceLimitError(f"r^e = {total} colorings exceed the leaf budget {leaf_budget}")
+    return total
+
+
+def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDGET):
+    """Sweep all r^e(G) colorings in chunks, in lexicographic order.
+
+    Yields (colors, gallai) pairs where ``colors`` is an (N, e) array of
+    0-based colors aligned with graph.edges(), in the smallest unsigned dtype
+    that holds r, and ``gallai`` flags the rows with no rainbow triangle.
+    The sweep is plain mixed-radix enumeration with the last edge varying
+    fastest: column i holds the digit of weight r^(e-1-i) of the row's index.
+    """
+    total = _sweep_size(graph, r, leaf_budget)
+    m = graph.edge_count
     triples = graph.triangle_edges()
-    powers = [r**e for e in range(m)]
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    dtype = np.min_scalar_type(r)
+    for start in range(0, total, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
-        cols = np.empty((stop - start, m), dtype=np.uint8)
-        for e in range(m):
-            cols[:, e] = (idx // powers[e]) % r
+        cols = np.empty((stop - start, m), dtype=dtype)
+        for i in reversed(range(m)):
+            idx, cols[:, i] = np.divmod(idx, r)
         ok = np.ones(stop - start, dtype=bool)
         for a, b, c in triples:
             ca, cb, cc = cols[:, a], cols[:, b], cols[:, c]
@@ -133,37 +139,17 @@ def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDG
 
 def count_gallai_naive(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> int:
     """Exact Gallai coloring count by full enumeration of all r^e(G) colorings."""
-    if r < 1:
-        raise InvalidParameterError("need r >= 1")
-    m = graph.edge_count
-    total = r**m
-    if total > leaf_budget:
-        raise ResourceLimitError(f"r^e = {total} colorings exceed the leaf budget {leaf_budget}")
+    total = _sweep_size(graph, r, leaf_budget)
     if not graph.triangles():
         return total
-    count = 0
-    for _, ok in scan_colorings(graph, r, leaf_budget=leaf_budget):
-        count += int(ok.sum())
-    return count
+    return sum(int(ok.sum()) for _, ok in scan_colorings(graph, r, leaf_budget=leaf_budget))
 
 
-def gallai_colorings(graph: Graph, r: int, *, leaf_budget: int = 10**7):
-    """Yield every Gallai coloring as a 1-based color tuple over graph.edges()."""
-    if r < 1:
-        raise InvalidParameterError("need r >= 1")
-    m = graph.edge_count
-    if r**m > leaf_budget:
-        raise ResourceLimitError(f"r^e = {r**m} colorings exceed the leaf budget {leaf_budget}")
-    triples = graph.triangle_edges()
-    for assignment in itertools.product(range(1, r + 1), repeat=m):
-        ok = True
-        for a, b, c in triples:
-            x, y, z = assignment[a], assignment[b], assignment[c]
-            if x != y and y != z and x != z:
-                ok = False
-                break
-        if ok:
-            yield assignment
+def gallai_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDGET):
+    """Yield every Gallai coloring as a 1-based color tuple over graph.edges(),
+    in lexicographic order: the flagged rows of :func:`scan_colorings`."""
+    for cols, ok in scan_colorings(graph, r, leaf_budget=leaf_budget):
+        yield from map(tuple, (cols[ok] + 1).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,14 @@ class CountCache:
         self._loaded = True
         if not self.path.exists():
             return
-        for lineno, line in enumerate(self.path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(self.path.read_bytes().splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 key = (str(obj["g6"]), int(obj["r"]))
                 self._data[key] = int(obj["count"])
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):  # UnicodeDecodeError is a ValueError
                 warnings.warn(f"skipping corrupt cache line {lineno} in {self.path}")
 
     def get(self, g6: str, r: int) -> int | None:

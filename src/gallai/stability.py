@@ -51,26 +51,31 @@ def majority_color_check(graph: Graph, coloring: Coloring, eps) -> MajorityRepor
 
     The hypothesis compares monochromatic triangles against (1-eps) C(n,3)
     and the conclusion bounds the off-majority edge count by
-    4 r^2 eps C(n,2); both comparisons run in exact rationals.  The check
-    always computes; when the hypothesis fails it simply claims nothing.
+    4 r^2 eps C(n,2); both comparisons, and the eps range, are decided by
+    integer cross-multiplication.  The check always computes; when the
+    hypothesis fails it simply claims nothing.
     """
     _check_total(graph, coloring)
     eps = Fraction(eps)
+    p, q = eps.numerator, eps.denominator
     n = graph.n
     r = coloring.r
-    mono = 0
-    for a, b, c in graph.triangles():
-        x = coloring.color(a, b)
-        if x == coloring.color(a, c) == coloring.color(b, c):
-            mono += 1
-    hypothesis_ok = Fraction(mono) >= (1 - eps) * comb(n, 3)
+    rows = [[0] * n for _ in range(r + 1)]
     per_color = [0] * (r + 1)
-    for (_, _), col in coloring.colors.items():
+    for (u, v), col in coloring.colors.items():
+        rows[col][u] |= 1 << v
+        rows[col][v] |= 1 << u
         per_color[col] += 1
+    # an edge uv of color c closes one monochromatic triangle per common
+    # neighbour in color c, and each such triangle has three edges
+    mono = sum((rows[col][u] & rows[col][v]).bit_count()
+               for (u, v), col in coloring.colors.items()) // 3
+    hypothesis_ok = mono * q >= (q - p) * comb(n, 3)
     best = max(range(1, r + 1), key=lambda c: (per_color[c], -c))
     deficit = graph.edge_count - per_color[best]
-    conclusion_ok = Fraction(deficit) <= 4 * r * r * eps * comb(n, 2)
-    feasible = Fraction(4, n) - Fraction(4, n * n) <= eps < Fraction(1, 2)
+    conclusion_ok = deficit * q <= 4 * r * r * p * comb(n, 2)
+    # 4/n - 4/n^2 <= eps < 1/2
+    feasible = 4 * (n - 1) * q <= p * n * n and 2 * p < q
     return MajorityReport(mono, hypothesis_ok, best, deficit, conclusion_ok, feasible)
 
 

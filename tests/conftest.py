@@ -5,9 +5,11 @@ compare two genuinely different routes to the same answer.
 """
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 from gallai.graphs import Graph, edge_index
+from gallai.stability import MajorityReport
 from gallai.templates import Template
 
 
@@ -92,3 +94,25 @@ def brute_count_gallai(graph: Graph, r: int) -> int:
         1 for combo in itertools.product(range(1, r + 1), repeat=len(edges))
         if assignment_is_gallai(triangles, edge_pos, combo)
     )
+
+
+def brute_majority_report(graph: Graph, coloring, eps) -> MajorityReport:
+    """The monochromatic-majority check by a loop over ``triangles()`` with
+    ``Fraction`` comparisons, independent of the bitmask count."""
+    eps = Fraction(eps)
+    n = graph.n
+    r = coloring.r
+    mono = 0
+    for a, b, c in graph.triangles():
+        x = coloring.color(a, b)
+        if x == coloring.color(a, c) == coloring.color(b, c):
+            mono += 1
+    hypothesis_ok = Fraction(mono) >= (1 - eps) * comb(n, 3)
+    per_color = [0] * (r + 1)
+    for col in coloring.colors.values():
+        per_color[col] += 1
+    best = max(range(1, r + 1), key=lambda c: (per_color[c], -c))
+    deficit = graph.edge_count - per_color[best]
+    conclusion_ok = Fraction(deficit) <= 4 * r * r * eps * comb(n, 2)
+    feasible = Fraction(4, n) - Fraction(4, n * n) <= eps < Fraction(1, 2)
+    return MajorityReport(mono, hypothesis_ok, best, deficit, conclusion_ok, feasible)

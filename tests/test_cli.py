@@ -114,6 +114,15 @@ class TestExtremal:
         assert payload["argmax"] == []
         assert any(row["count"] is None for row in payload["rows"])
 
+    def test_undecodable_cache_line_is_skipped(self, capsys, tmp_path):
+        plain = run_json(capsys, "extremal", "--n", "3", "--r", "3")
+        cache = tmp_path / "bad.jsonl"
+        # one line that is not UTF-8, one valid line the table must use
+        cache.write_bytes(b'\xff\n{"g6": "Bw", "r": 3, "count": "21"}\n')
+        with pytest.warns(UserWarning, match="corrupt cache line 1"):
+            payload = run_json(capsys, "--cache", str(cache), "extremal", "--n", "3", "--r", "3")
+        assert payload == plain
+
     def test_gate_is_a_budget_error(self, capsys):
         code, out, err = run(capsys, "extremal", "--n", "7", "--r", "3")
         assert code == 3
@@ -319,6 +328,27 @@ class TestVerifyCover:
         witness = payload["coverage"]["witness"]["coloring"]
         assert len(witness) == 6
         assert set(witness.values()) == {1, 2, 3}
+
+    def test_witness_is_the_first_uncovered_coloring(self, capsys, tmp_path):
+        fam = tmp_path / "fam4w"
+        self.write_pair_family(fam, 4)
+        code, out, err = run(capsys, "verify-cover", str(fam), "--n", "4", "--r", "3")
+        assert code == 0
+        assert out == (
+            '{"coverage": {"checked": 12, "passed": false, "witness": {"coloring": '
+            '{"0-1": 1, "0-2": 1, "0-3": 1, "1-2": 2, "1-3": 2, "2-3": 3}}}, '
+            '"family_size": 3, "n": 4, "passed": false, "r": 3, '
+            '"size_bound": {"checked": 3, "passed": true, "witness": null}, '
+            '"sparsity": {"checked": 3, "passed": true, "witness": null}}\n')
+
+    def test_leaf_budget_bounds_exhaustive_coverage(self, capsys, tmp_path):
+        fam = tmp_path / "fam4b"
+        self.write_pair_family(fam, 4)
+        code, out, err = run(capsys, "--leaf-budget", "10", "verify-cover", str(fam),
+                             "--n", "4", "--r", "3")
+        assert (code, out) == (3, "")
+        assert "budget exhausted" in err
+        assert "Traceback" not in err
 
     def test_c_flag_is_not_ambiguous(self, capsys, tmp_path):
         fam = tmp_path / "fam3b"

@@ -5,10 +5,11 @@ from fractions import Fraction
 from math import comb, log2, prod
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import gallai.counting
-from conftest import brute_count_gallai, random_graph
+from conftest import assignment_is_gallai, brute_count_gallai, brute_triangles, random_graph
 from gallai.counting import (
     Coloring,
     asymptotic_bounds,
@@ -25,7 +26,8 @@ from gallai.counting import (
     scan_colorings,
 )
 from gallai.errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from gallai.graphs import Graph, all_graphs, book, complete, complete_bipartite, cycle
+from gallai.graphs import (Graph, all_graphs, book, complete, complete_bipartite, cycle,
+                           graph_from_name)
 
 OCTAHEDRON = Graph.from_edges(
     6, [(u, v) for u in range(6) for v in range(u + 1, 6)
@@ -180,6 +182,27 @@ class TestGenerators:
             good += int(gallai.sum())
         assert rows == 27
         assert good == 21
+
+    @pytest.mark.parametrize("graph, r", [(complete(4), 3), (book(2), 4), (complete(2), 300)])
+    def test_scan_rows_follow_product_order(self, graph, r):
+        rows = []
+        for colors, _ in scan_colorings(graph, r):
+            assert colors.dtype == np.min_scalar_type(r)
+            rows.extend(map(tuple, colors.tolist()))
+        assert rows == list(itertools.product(range(r), repeat=graph.edge_count))
+
+    @pytest.mark.parametrize("name", ["K4", "K2,3", "B2", "C5"])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_gallai_colorings_are_the_gallai_products_in_order(self, name, r):
+        g = graph_from_name(name)
+        edge_pos = {e: i for i, e in enumerate(g.edges())}
+        triangles = brute_triangles(g)
+        expected = [combo for combo in itertools.product(range(1, r + 1), repeat=g.edge_count)
+                    if assignment_is_gallai(triangles, edge_pos, combo)]
+        assert list(gallai_colorings(g, r)) == expected
+
+    def test_naive_sweep_takes_colors_past_one_byte(self):
+        assert count_gallai_naive(complete(3), 300) == book_gallai_count(1, 300)
 
     def test_budget_errors(self):
         with pytest.raises(ResourceLimitError):

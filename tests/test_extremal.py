@@ -94,12 +94,15 @@ class TestCache:
     def test_corrupt_lines_warn_and_are_skipped(self, tmp_path):
         path = tmp_path / "counts.jsonl"
         CountCache(path).put(K4, 3, 279)
-        with open(path, "a") as fh:
-            fh.write("not json\n")
-            fh.write(json.dumps({"g6": "C~"}) + "\n")
+        with open(path, "ab") as fh:
+            fh.write(b"not json\n")
+            fh.write(json.dumps({"g6": "C~"}).encode() + b"\n")
+            fh.write(b"\xff\n")
         cache = CountCache(path)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             assert cache.get(K4, 3) == 279
+        assert [str(w.message).split(" in ")[0] for w in caught] == \
+            [f"skipping corrupt cache line {i}" for i in (2, 3, 4)]
 
     def test_identical_puts_do_not_grow_the_file(self, tmp_path):
         path = tmp_path / "counts.jsonl"

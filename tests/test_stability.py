@@ -5,7 +5,7 @@ from math import comb, exp
 
 import pytest
 
-from conftest import random_graph
+from conftest import brute_majority_report, random_graph
 from gallai.counting import Coloring
 from gallai.errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from gallai.graphs import Graph, book, complete, complete_bipartite, cycle, edge_index
@@ -67,6 +67,25 @@ class TestMajorityColor:
     def test_requires_total_coloring(self):
         with pytest.raises(InvalidInputError):
             majority_color_check(complete(4), Coloring({(0, 1): 1}, 2), Fraction(1, 4))
+
+    def test_matches_the_triangle_loop_on_seeded_colorings(self):
+        rng = random.Random(6)
+        for _ in range(400):
+            n = rng.randrange(1, 10)
+            g = random_graph(rng, n) if rng.random() < 0.5 else complete(n)
+            r = rng.randrange(1, 5)
+            # mostly one color, so that the hypothesis holds now and then
+            coloring = Coloring({e: 1 if rng.random() < 0.7 else rng.randrange(1, r + 1)
+                                 for e in g.edges()}, r)
+            ref = brute_majority_report(g, coloring, Fraction(1, 3))
+            # every threshold exactly: hypothesis, conclusion, feasibility window
+            grid = [Fraction(1, 3), Fraction(1, 2), Fraction(-1, 7), Fraction(5, 3), 0.4,
+                    Fraction(4, n) - Fraction(4, n * n),
+                    1 - Fraction(ref.mono_triangles, max(comb(n, 3), 1)),
+                    Fraction(ref.deficit, 4 * r * r * max(comb(n, 2), 1))]
+            for eps in grid:
+                assert majority_color_check(g, coloring, eps) == \
+                    brute_majority_report(g, coloring, eps)
 
     def test_implication_sweep_on_one_graph(self):
         g = complete(4)
