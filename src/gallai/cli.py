@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 usage, invalid input or a file that cannot be read,
 3 budget exhausted, 4 unparseable graph or template file.
+
+Each run setting is declared once, in ``_SETTINGS``: its global flag, the
+parser its flag and config line share, and its default.  Each subcommand
+carries its handler on its own subparser.
 """
 
 from __future__ import annotations
@@ -9,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from math import isfinite, log2
@@ -18,23 +21,50 @@ from pathlib import Path
 from . import containers, counting, extremal, stability, templates
 from .errors import (InvalidInputError, InvalidParameterError, ParseError,
                      ResourceLimitError)
-from .graphs import Graph, complete, graph_from_name, graph6_encode
-
-CONFIG_INT_KEYS = ("leaf_budget", "node_budget", "sample_size")
+from .graphs import Graph, complete, content_lines, graph_from_name, graph6_encode
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    leaf_budget: int = counting.DEFAULT_LEAF_BUDGET
-    node_budget: int = counting.DEFAULT_NODE_BUDGET
-    cache_path: str | None = None
-    sample_size: int = containers.DEFAULT_SAMPLE_SIZE
-    container_c: float = containers.DEFAULT_C_CAP
+def _positive_int(text: str) -> int:
+    """Parse a budget or sample size: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
-    def __post_init__(self):
-        for key in CONFIG_INT_KEYS:
-            if getattr(self, key) < 1:
-                raise InvalidInputError(f"config value {key} must be positive")
+
+def _finite_float(text: str) -> float:
+    """Parse a float that is neither infinite nor NaN; NaN would slip past
+    every range check and reach stdout as non-JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> Fraction:
+    """Parse an exact rational such as 0.4 or 2/5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}") from None
+
+
+# run settings: config key -> (global flag, value parser, default).  A flag
+# beats the config file, which beats the default; flag and config line share
+# the parser, so both reject the same values.
+_SETTINGS = {
+    "leaf_budget": ("--leaf-budget", _positive_int, counting.DEFAULT_LEAF_BUDGET),
+    "node_budget": ("--node-budget", _positive_int, counting.DEFAULT_NODE_BUDGET),
+    "cache_path": ("--cache", str, None),
+    "sample_size": ("--sample-size", _positive_int, containers.DEFAULT_SAMPLE_SIZE),
+    "container_c": ("--container-c", _finite_float, containers.DEFAULT_C_CAP),
+}
 
 
 def _read_utf8(path, error: type[Exception]) -> str:
@@ -45,41 +75,22 @@ def _read_utf8(path, error: type[Exception]) -> str:
         raise error(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def load_config(path) -> RunConfig:
-    """Parse a flat key=value file; unknown keys are rejected."""
-    values: dict = {}
-    for lineno, raw in enumerate(_read_utf8(path, InvalidInputError).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+def load_config(path) -> argparse.Namespace:
+    """Parse a flat key=value file into the settings it sets; unknown keys
+    and bad values are rejected with their line number."""
+    values = argparse.Namespace()
+    for lineno, line in content_lines(_read_utf8(path, InvalidInputError)):
+        key, eq, value = line.partition("=")
+        if not eq:
             raise InvalidInputError(f"config line {lineno} is not key=value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in CONFIG_INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise InvalidInputError(f"config key {key} needs an integer") from None
-        elif key == "container_c":
-            try:
-                values[key] = _finite_float(value)
-            except argparse.ArgumentTypeError as exc:
-                raise InvalidInputError(f"config key container_c: {exc}") from None
-        elif key == "cache_path":
-            values[key] = value
-        else:
+        key = key.strip()
+        if key not in _SETTINGS:
             raise InvalidInputError(f"unknown config key {key!r} on line {lineno}")
-    return RunConfig(**values)
-
-
-def _apply_flag_overrides(config: RunConfig, args) -> RunConfig:
-    updates = {}
-    for key in ("leaf_budget", "node_budget", "cache_path", "sample_size", "container_c"):
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
-    return replace(config, **updates) if updates else config
+        try:
+            setattr(values, key, _SETTINGS[key][1](value.strip()))
+        except argparse.ArgumentTypeError as exc:
+            raise InvalidInputError(f"config line {lineno}: {key}: {exc}") from None
+    return values
 
 
 def _load_template(path) -> templates.Template:
@@ -131,12 +142,12 @@ def _report_json(report: containers.PropertyReport) -> dict:
 # subcommand handlers
 
 
-def _cmd_count(args, config: RunConfig) -> dict:
+def _cmd_count(args) -> dict:
     graph = graph_from_name(args.graph)
     if args.naive:
-        count = counting.count_gallai_naive(graph, args.r, leaf_budget=config.leaf_budget)
+        count = counting.count_gallai_naive(graph, args.r, leaf_budget=args.leaf_budget)
     else:
-        count = counting.count_gallai(graph, args.r, node_budget=config.node_budget)
+        count = counting.count_gallai(graph, args.r, node_budget=args.node_budget)
     return {"graph": graph6_encode(graph), "n": graph.n, "edges": graph.edge_count,
             "r": args.r, "method": "naive" if args.naive else "pruned",
             "count": _digits(count)}
@@ -155,16 +166,16 @@ def _table_json(table: extremal.ExtremalTable) -> dict:
     }
 
 
-def _cmd_extremal(args, config: RunConfig) -> dict:
-    cache = extremal.CountCache(config.cache_path) if config.cache_path else None
-    table = extremal.extremal_search(args.n, args.r, node_budget=config.node_budget,
+def _cmd_extremal(args) -> dict:
+    cache = extremal.CountCache(args.cache_path) if args.cache_path else None
+    table = extremal.extremal_search(args.n, args.r, node_budget=args.node_budget,
                                      cache=cache)
     if args.csv:
         extremal.export_csv(table, args.csv)
     return _table_json(table)
 
 
-def _cmd_template(args, config: RunConfig) -> dict:
+def _cmd_template(args) -> dict:
     template = _load_template(args.file)
     if args.action == "rt":
         return {"n": template.n, "r": template.r, "rt": templates.rt_count(template)}
@@ -172,12 +183,12 @@ def _cmd_template(args, config: RunConfig) -> dict:
         tally = templates.classify_triangles(template, args.mode)
         return {"mode": tally.mode, "counts": tally.as_dict(), "total": tally.total()}
     graph = graph_from_name(args.graph) if args.graph else complete(template.n)
-    count = templates.count_ga(template, graph, node_budget=config.node_budget)
+    count = templates.count_ga(template, graph, node_budget=args.node_budget)
     return {"n": template.n, "r": template.r, "graph": graph6_encode(graph),
             "count": _digits(count)}
 
 
-def _cmd_hypergraph(args, config: RunConfig) -> dict:
+def _cmd_hypergraph(args) -> dict:
     if args.action == "stats":
         explicit = args.n <= containers.BUILD_N_LIMIT and args.r <= containers.BUILD_R_LIMIT
         if explicit:
@@ -198,7 +209,9 @@ def _cmd_hypergraph(args, config: RunConfig) -> dict:
             "min_n_estimate": audit.min_n_estimate, "codegree": codegree}
 
 
-def _cmd_stability(args, config: RunConfig) -> dict:
+def _cmd_stability(args) -> dict:
+    if args.action in ("monoedge", "peel") and not args.template:
+        raise InvalidInputError(f"stability {args.action} needs --template")
     graph = graph_from_name(args.graph)
     if args.action == "monoedge":
         template = _load_template(args.template)
@@ -244,20 +257,20 @@ def _cmd_stability(args, config: RunConfig) -> dict:
                 "residual_vertices": list(result.residual_vertices),
                 "residual_edges": result.residual.edge_count if result.residual else 0}
     report = stability.supersaturation_check(graph, args.k, args.t,
-                                             node_budget=config.node_budget)
+                                             node_budget=args.node_budget)
     return {"t_far": report.t_far, "bound": report.bound,
             "cliques": report.cliques, "ok": report.ok}
 
 
-def _cmd_verify_cover(args, config: RunConfig) -> dict:
+def _cmd_verify_cover(args) -> dict:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise InvalidInputError(f"{args.dir} is not a directory")
     family = [_load_template(path) for path in sorted(directory.glob("*.tpl"))]
-    c = args.c if args.c is not None else config.container_c
+    c = args.c if args.c is not None else args.container_c
     certificate = containers.verify_cover(family, args.n, args.r, c,
-                                          sample_size=config.sample_size,
-                                          seed=args.seed, leaf_budget=config.leaf_budget)
+                                          sample_size=args.sample_size,
+                                          seed=args.seed, leaf_budget=args.leaf_budget)
     return {"n": args.n, "r": args.r, "family_size": certificate.family_size,
             "passed": certificate.passed,
             "coverage": _report_json(certificate.coverage),
@@ -265,7 +278,7 @@ def _cmd_verify_cover(args, config: RunConfig) -> dict:
             "size_bound": _report_json(certificate.size_bound)}
 
 
-def _cmd_bounds(args, config: RunConfig) -> dict:
+def _cmd_bounds(args) -> dict:
     bounds = counting.asymptotic_bounds(args.n, args.r)
     two_color = counting.lower_bound_two_color(args.n, args.r)
     return {"n": args.n, "r": args.r,
@@ -279,75 +292,54 @@ def _cmd_bounds(args, config: RunConfig) -> dict:
 # parser
 
 
-def _finite_float(text: str) -> float:
-    """Parse a float that is neither infinite nor NaN; NaN would slip past
-    every range check and reach stdout as non-JSON."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _fraction(text: str) -> Fraction:
-    """Parse an exact rational such as 0.4 or 2/5."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}") from None
-
-
-def _add_override_flags(parser: argparse.ArgumentParser, *, subcommand: bool) -> None:
+def _add_global_flags(parser: argparse.ArgumentParser, *, subcommand: bool) -> None:
     # on subparsers the defaults are suppressed so an absent flag never
-    # clobbers a value the root parser already placed in the namespace
+    # clobbers a value the root parser already placed in the namespace; on
+    # the root an absent setting stays None until main() fills it in
     d = argparse.SUPPRESS if subcommand else None
     parser.add_argument("--config", default=d, help="flat key=value configuration file")
-    parser.add_argument("--leaf-budget", dest="leaf_budget", type=int, default=d)
-    parser.add_argument("--node-budget", dest="node_budget", type=int, default=d)
-    parser.add_argument("--cache", dest="cache_path", default=d)
-    parser.add_argument("--sample-size", dest="sample_size", type=int, default=d)
-    parser.add_argument("--container-c", dest="container_c", type=_finite_float, default=d)
+    for key, (flag, parse, _) in _SETTINGS.items():
+        parser.add_argument(flag, dest=key, type=parse, default=d)
 
 
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev off so the global flags never swallow subcommand options
-    # that share a prefix (verify-cover's --c versus --config and --cache)
+    # that share a prefix (verify-cover's --c starts several global flags)
     parser = argparse.ArgumentParser(prog="gallai", allow_abbrev=False,
                                      description="rainbow-triangle-free coloring lab")
-    _add_override_flags(parser, subcommand=False)
+    _add_global_flags(parser, subcommand=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+    def add_parser(name: str, handler, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False, **kwargs)
-        _add_override_flags(p, subcommand=True)
+        _add_global_flags(p, subcommand=True)
+        p.set_defaults(handler=handler)
         return p
 
-    p = add_parser("count", help="count Gallai r-colorings of one graph")
+    p = add_parser("count", _cmd_count, help="count Gallai r-colorings of one graph")
     p.add_argument("graph", help="graph6 string or a name like K5, K2,3, C5, B4")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--naive", action="store_true",
                    help="use the full-enumeration oracle instead of the pruned counter")
 
-    p = add_parser("extremal", help="count every isomorphism class on n vertices")
+    p = add_parser("extremal", _cmd_extremal, help="count every isomorphism class on n vertices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--csv", help="also export the table as CSV to this path")
 
-    p = add_parser("template", help="template statistics")
+    p = add_parser("template", _cmd_template, help="template statistics")
     p.add_argument("action", choices=["rt", "classify", "count-ga"])
     p.add_argument("file", help="template text file")
     p.add_argument("--mode", choices=list(templates.TALLY_MODES), default="complete")
     p.add_argument("--graph", help="graph6 or name; defaults to the complete graph")
 
-    p = add_parser("hypergraph", help="rainbow hypergraph statistics and audit")
+    p = add_parser("hypergraph", _cmd_hypergraph, help="rainbow hypergraph statistics and audit")
     p.add_argument("action", choices=["stats", "audit"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--tau", type=_finite_float)
 
-    p = add_parser("stability", help="stability checks and peeling algorithms")
+    p = add_parser("stability", _cmd_stability, help="stability checks and peeling algorithms")
     p.add_argument("action", choices=["monoedge", "dichotomy", "books", "peel",
                                       "lowdeg", "supersat"])
     p.add_argument("--graph", required=True, help="graph6 or name")
@@ -360,34 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--t", type=int, default=1)
 
-    p = add_parser("verify-cover", help="check a directory of *.tpl templates")
+    p = add_parser("verify-cover", _cmd_verify_cover, help="check a directory of *.tpl templates")
     p.add_argument("dir")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--c", type=_finite_float)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add_parser("bounds", help="closed-form bounds for K_n")
+    p = add_parser("bounds", _cmd_bounds, help="closed-form bounds for K_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     return parser
-
-
-_HANDLERS = {
-    "count": _cmd_count,
-    "extremal": _cmd_extremal,
-    "template": _cmd_template,
-    "hypergraph": _cmd_hypergraph,
-    "stability": _cmd_stability,
-    "verify-cover": _cmd_verify_cover,
-    "bounds": _cmd_bounds,
-}
-
-
-def _require_template_arg(args) -> None:
-    if args.command == "stability" and args.action in ("monoedge", "peel") \
-            and not args.template:
-        raise InvalidInputError(f"stability {args.action} needs --template")
 
 
 def main(argv=None) -> int:
@@ -397,10 +372,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = load_config(args.config) if args.config else RunConfig()
-        config = _apply_flag_overrides(config, args)
-        _require_template_arg(args)
-        result = _HANDLERS[args.command](args, config)
+        given = load_config(args.config) if args.config else argparse.Namespace()
+        for key, (_, _, default) in _SETTINGS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, getattr(given, key, default))
+        result = args.handler(args)
     except (InvalidParameterError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,6 +78,13 @@ class Coloring:
 
 
 def _check_total(graph: Graph, coloring: Coloring) -> None:
+    """Raise unless the coloring's keys are exactly the graph's edges.  Keys
+    are distinct pairs u < v, so as many keys as edges, each one an edge,
+    decides it without building the edge list."""
+    n, adj = graph.n, graph.adj
+    if len(coloring.colors) == graph.edge_count and all(
+            0 <= u and v < n and adj[u] >> v & 1 for u, v in coloring.colors):
+        return
     edges = set(graph.edges())
     dom = set(coloring.colors)
     if dom != edges:

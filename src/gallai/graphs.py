@@ -452,24 +452,34 @@ def format_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def content_lines(text: str):
+    """Yield (physical line number, stripped line) for each line of ``text``
+    that is neither blank nor a ``#`` comment, so errors name the line a
+    reader sees."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield no, line
+
+
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError("empty edge list", line=1)
-    head = lines[0].split()
+    head_no, head = lines[0][0], lines[0][1].split()
     if len(head) != 2:
-        raise ParseError("header must be 'n m'", line=1)
+        raise ParseError("header must be 'n m'", line=head_no)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ParseError("header must hold two integers", line=1) from None
+        raise ParseError("header must hold two integers", line=head_no) from None
     if n < 1:
-        raise ParseError("order-0 graphs are rejected", line=1)
+        raise ParseError("order-0 graphs are rejected", line=head_no)
     if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", line=len(lines))
+        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", line=lines[-1][0])
     edges = []
     seen = set()
-    for no, ln in enumerate(lines[1:], start=2):
+    for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError("edge line must be 'u v'", line=no)

@@ -13,7 +13,7 @@ from math import comb, log2
 
 from .counting import Coloring, count_gallai_with_palettes, DEFAULT_NODE_BUDGET
 from .errors import InvalidInputError, InvalidParameterError, ParseError
-from .graphs import Graph, complete, edge_index, edge_pairs
+from .graphs import Graph, complete, content_lines, edge_index, edge_pairs
 
 MAX_COLORS = 16
 
@@ -308,25 +308,26 @@ def template_to_text(template: Template) -> str:
 
 
 def template_from_text(text: str) -> Template:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError("empty template", line=1)
-    head = lines[0].split()
+    head_no, head = lines[0][0], lines[0][1].split()
     if len(head) != 2:
-        raise ParseError("header must be 'n r'", line=1)
+        raise ParseError("header must be 'n r'", line=head_no)
     try:
         n, r = int(head[0]), int(head[1])
     except ValueError:
-        raise ParseError("header must hold two integers", line=1) from None
+        raise ParseError("header must hold two integers", line=head_no) from None
     if n < 1:
-        raise ParseError("order-0 templates are rejected", line=1)
+        raise ParseError("order-0 templates are rejected", line=head_no)
     if not 1 <= r <= MAX_COLORS:
-        raise ParseError(f"color count must lie in 1..{MAX_COLORS}", line=1)
+        raise ParseError(f"color count must lie in 1..{MAX_COLORS}", line=head_no)
     m = comb(n, 2)
     if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} palette lines, found {len(lines) - 1}", line=len(lines))
+        raise ParseError(f"expected {m} palette lines, found {len(lines) - 1}",
+                         line=lines[-1][0])
     masks: list[int | None] = [None] * m
-    for no, ln in enumerate(lines[1:], start=2):
+    for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ParseError("palette line must be 'u v bitstring'", line=no)

@@ -402,6 +402,30 @@ class TestBounds:
         assert payload["lower_two_color"] == expected
 
 
+class TestSettings:
+    """Flags and config lines share one value check per setting."""
+
+    @pytest.mark.parametrize("flag", ["--leaf-budget", "--node-budget", "--sample-size"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_flag_needs_a_positive_integer(self, capsys, flag, value):
+        for argv in ((flag, value, "count", "K3", "--r", "3"),
+                     ("count", "K3", "--r", "3", flag, value)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert f"argument {flag}: expected a positive integer" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["leaf_budget", "node_budget", "sample_size"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_config_value_needs_a_positive_integer(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# budgets\n\n{key} = {value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "count", "K3", "--r", "3")
+        assert (code, out) == (2, "")
+        assert f"config line 3: {key}: expected a positive integer" in err
+        assert "Traceback" not in err
+
+
 class TestConfig:
     def test_file_values_apply(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -416,6 +440,48 @@ class TestConfig:
         payload = run_json(capsys, "--config", str(cfg), "count", "K5", "--r", "3",
                            "--naive", "--leaf-budget", "100000000")
         assert payload["count"] == "6129"
+
+    def test_node_budget_flag_overrides_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("node_budget = 1\n")
+        code, out, err = run(capsys, "--config", str(cfg), "count", "K5", "--r", "3")
+        assert (code, out) == (3, "")
+        payload = run_json(capsys, "--config", str(cfg), "--node-budget", "1000000000",
+                           "count", "K5", "--r", "3")
+        assert payload["count"] == "6129"
+
+    def test_cache_flag_overrides_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cache_path = {tmp_path / 'from-config.jsonl'}\n")
+        run_json(capsys, "--config", str(cfg), "extremal", "--n", "3", "--r", "3",
+                 "--cache", str(tmp_path / "from-flag.jsonl"))
+        assert [p.name for p in tmp_path.glob("*.jsonl")] == ["from-flag.jsonl"]
+        run_json(capsys, "--config", str(cfg), "extremal", "--n", "3", "--r", "3")
+        assert (tmp_path / "from-config.jsonl").is_file()
+
+    def test_sample_size_flag_overrides_config(self, capsys, tmp_path):
+        fam = tmp_path / "fam5"
+        fam.mkdir()
+        (fam / "full.tpl").write_text(template_to_text(Template(5, 3, (0b111,) * 10)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sample_size = 5\n")
+        argv = ("--config", str(cfg), "verify-cover", str(fam), "--n", "5", "--r", "3")
+        assert run_json(capsys, *argv)["coverage"]["checked"] == 5
+        assert run_json(capsys, *argv, "--sample-size", "7")["coverage"]["checked"] == 7
+
+    def test_container_c_flag_overrides_config(self, capsys, tmp_path):
+        # three templates at n = 3: log2(3) exceeds the size bound at c = 0.1
+        # but not at c = 1
+        fam = tmp_path / "fam3"
+        fam.mkdir()
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            (fam / f"pair{i}{j}.tpl").write_text(template_to_text(pair_template(3, 3, i, j)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("container_c = 0.1\n")
+        argv = ("--config", str(cfg), "verify-cover", str(fam), "--n", "3", "--r", "3")
+        assert run_json(capsys, *argv)["size_bound"]["passed"] is False
+        payload = run_json(capsys, "--container-c", "1", *argv)
+        assert payload["size_bound"]["passed"] is True
 
     def test_global_flags_accepted_after_subcommand(self, capsys):
         code, out, err = run(capsys, "count", "K5", "--r", "3", "--naive",

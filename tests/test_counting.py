@@ -90,6 +90,20 @@ class TestColoring:
         assert not is_gallai(g, Coloring({(0, 1): 1, (0, 2): 2, (1, 2): 3}, 3))
         assert is_gallai(g, Coloring({(0, 1): 1, (0, 2): 2, (1, 2): 2}, 3))
 
+    @pytest.mark.parametrize("keys", [
+        [(-1, 0), (0, 1), (0, 2)],  # right length, but adj[-1] is a valid index
+        [(0, 1), (0, 2), (1, 3)],   # right length, endpoint past n
+        [(0, 1), (0, 2)],           # an edge missing
+        [(0, 1), (0, 2), (1, 2), (2, 3)],
+    ])
+    def test_domain_must_be_the_edge_set(self, keys):
+        g = complete(3)
+        coloring = Coloring(dict.fromkeys(keys, 1), 3)
+        with pytest.raises(InvalidInputError, match="coloring domain mismatch"):
+            is_gallai(g, coloring)
+        with pytest.raises(InvalidInputError, match="coloring domain mismatch"):
+            s_deviation(g, coloring, 1, 2)
+
 
 class TestFrozenCounts:
     @pytest.mark.parametrize("graph,r,expected", FROZEN_COUNTS)

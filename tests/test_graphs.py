@@ -273,6 +273,13 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError):
             parse_edge_list("3 2\n0 1\n0 1\n")
 
+    def test_line_numbers_count_comments_and_blank_lines(self):
+        with pytest.raises(ParseError, match=r"\(line 5\)") as exc:
+            parse_edge_list("# path\n3 2\n\n0 1\n1 1\n")
+        assert exc.value.line == 5
+        with pytest.raises(ParseError, match=r"\(line 3\)"):
+            parse_edge_list("\n# header next\nthree 2\n")
+
 
 class TestGraphNames:
     @pytest.mark.parametrize("name,n,e", [

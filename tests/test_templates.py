@@ -299,3 +299,11 @@ class TestTextFormat:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             template_from_text(bad)
+
+    def test_line_numbers_count_comments_and_blank_lines(self):
+        text = "# K3 palettes\n3 3\n\n0 1 110\n0 2 001\n1 2 0x0\n"
+        with pytest.raises(ParseError, match=r"\(line 6\)") as exc:
+            template_from_text(text)
+        assert exc.value.line == 6
+        with pytest.raises(ParseError, match=r"\(line 5\)"):
+            template_from_text("3 3\n# edges\n\n0 1 110\n0 2 001\n")
