@@ -209,10 +209,17 @@ class _StarTable:
     candidate mask of e_i) and ``pairs`` holds (ab, rows keyed by the color
     bit of ab) for every such triangle.  The completions of a colored prefix
     are the bits set in ``ones`` and in every row that its candidates and
-    colors select.  A row is built the first time it is read.
+    colors select.
+
+    A prefix that used the colors below k may give the star new colors only
+    in canonical order, the rule the search branches by.  ``fresh[k]`` lists
+    the rows M_{k,t}: the colorings whose colors of k and above are exactly
+    k..k+t-1, each first used, in star order, after the one below it.  At
+    or past ``width``, past every palette's highest color, no color is new.
+    A row is built the first time it is read.
     """
 
-    __slots__ = ("ones", "doms", "pairs")
+    __slots__ = ("ones", "doms", "pairs", "fresh", "width")
 
     def __init__(self, star: list[int], pairs, masks: list[int]):
         palettes = [masks[e] for e in star]
@@ -222,25 +229,46 @@ class _StarTable:
             radix.append(size)
             size *= palette.bit_count()
         ones = (1 << size) - 1
+        width = max(palettes).bit_length()
+        # the colorings whose digit i is 0: a run of radix[i] ones that
+        # repeats once per period of digit i, with no carries
+        first = [((1 << low) - 1) * (ones // ((1 << low * palette.bit_count()) - 1))
+                 for low, palette in zip(radix, palettes)]
 
         def digits(i: int, colors: int) -> int:
             """Row of the colorings whose digit i picks a color of ``colors``."""
-            palette, low = palettes[i], radix[i]
-            run = (1 << low) - 1
+            palette, low, row = palettes[i], radix[i], first[i]
             block = 0
             colors &= palette
             while colors:
                 bit = colors & -colors
                 colors ^= bit
-                block |= run << ((palette & (bit - 1)).bit_count() * low)
-            # the block repeats once per period of digit i, with no carries
-            period = low * palette.bit_count()
-            return block * (ones // ((1 << period) - 1))
+                block |= row << ((palette & (bit - 1)).bit_count() * low)
+            return block
 
         def not_rainbow(i: int, j: int, same: int, color: int) -> int:
             return same | digits(i, color) | digits(j, color)
 
+        def new_colors(k: int) -> list[int]:
+            """M_{k,0}, M_{k,1}, ...: after digit i, rows[t] holds the
+            colorings whose digits up to i are canonical with t new colors;
+            digit i keeps t with a color below k + t or opens color k + t."""
+            rows = [ones]
+            for i in range(len(star)):
+                below = digits(i, (1 << k) - 1)
+                grown = [0] * (len(rows) + 1)
+                for t, row in enumerate(rows):
+                    opened = digits(i, 1 << k + t)
+                    grown[t] |= row & below
+                    grown[t + 1] = row & opened
+                    below |= opened
+                rows = grown
+            # no palette holds a color from width on
+            return rows[:width - k + 1]
+
         self.ones = ones
+        self.width = width
+        self.fresh = _Memo(new_colors)
         self.doms = [(e, _Memo(functools.partial(digits, i))) for i, e in enumerate(star)]
         self.pairs = []
         for i, j, ab in pairs:
@@ -257,16 +285,17 @@ class _ComponentPlan:
     """Search plan for one triangle-connected edge component.
 
     ``order[star_start:]`` is the longest suffix whose edges share a vertex
-    and whose palette sizes multiply to at most ``_STAR_TABLE_BITS``; without
-    palettes it is empty.  When it starts before ``tail_start``, ``star``
-    holds its truth tables and the search stops at ``star_start``, else at
-    ``tail_start``.
+    and whose palette sizes multiply to at most ``_STAR_TABLE_BITS``.  When
+    it starts before ``tail_start``, ``star`` holds its truth tables and the
+    search stops at ``star_start``, else at ``tail_start``.  ``count_gallai``
+    plans with full palettes of its window's width, so its stars hold up to
+    log_width(_STAR_TABLE_BITS) edges.
     """
 
     __slots__ = ("order", "narrow", "tail_start", "tail", "star_start", "star", "stop")
 
     def __init__(self, comp: list[int], tri_of_edge: dict[int, list[tuple[int, int]]],
-                 ends: list[tuple[int, int]], masks: list[int] | None):
+                 ends: list[tuple[int, int]], masks: list[int]):
         # greedy: close as many fully-placed triangles as possible, ties by edge
         # id; an edge's score rises when a placed edge is the second of one of
         # its triangles, and a heap entry is stale once the score has moved on
@@ -308,15 +337,14 @@ class _ComponentPlan:
         self.tail_start = tail
         self.tail = tuple(order[tail:])
         star_start = len(order)
-        if masks is not None:
-            common = set(ends[order[-1]])
-            bits = 1
-            for e in reversed(order):
-                common &= set(ends[e])
-                bits *= masks[e].bit_count()
-                if not common or bits > _STAR_TABLE_BITS:
-                    break
-                star_start -= 1
+        common = set(ends[order[-1]])
+        bits = 1
+        for e in reversed(order):
+            common &= set(ends[e])
+            bits *= masks[e].bit_count()
+            if not common or bits > _STAR_TABLE_BITS:
+                break
+            star_start -= 1
         self.star_start = star_start
         self.star = None
         self.stop = tail
@@ -355,11 +383,14 @@ class _Searcher:
     ``r`` choices.  A palette search starts past the window with weight 1 and
     a ``full`` no mask equals, so it sees every candidate as given.
 
-    A palette search that reaches a plan's ``star_start`` before its
-    ``tail_start`` counts the star's completions with one evaluation of the
-    plan's ``_StarTable`` instead of branching on the star edges.  Every
-    color tried at a branching level and every star evaluation costs one
-    node, and one meter covers every component of the call.
+    A search that reaches a plan's ``star_start`` before its ``tail_start``
+    counts the star's completions with one evaluation of the plan's
+    ``_StarTable`` instead of branching on the star edges: the completions
+    that open t new colors weigh ``weight[k + t]``.  A palette search is
+    always past the star's window, where every completion weighs
+    ``weight[k]``.  Every color tried at a branching level and every star
+    evaluation costs one node, and one meter covers every component of the
+    call.
     """
 
     __slots__ = ("plan", "cand", "colors", "meter", "weight", "full", "r")
@@ -398,7 +429,6 @@ class _Searcher:
                     mask = cand[e]
                     prod *= self.r if mask == full else mask.bit_count()
                 return prod
-            # only palette searches have star tables, and their leaves weigh 1
             meter = self.meter
             meter[0] -= 1
             if meter[0] < 0:
@@ -409,7 +439,13 @@ class _Searcher:
             colors = self.colors
             for ab, table in star.pairs:
                 live &= table[colors[ab]]
-            return live.bit_count()
+            weight = self.weight
+            if k >= star.width:
+                return weight[k] * live.bit_count()
+            total = 0
+            for t, row in enumerate(star.fresh[k], k):
+                total += weight[t] * (live & row).bit_count()
+            return total
         colors = self.colors
         meter = self.meter
         e = plan.order[pos]
@@ -445,9 +481,9 @@ class _Searcher:
         return total
 
 
-def _search_plans(graph: Graph, masks: list[int] | None = None) -> list[_ComponentPlan]:
-    """One plan per triangle-connected component; given palette masks, the
-    plans carry star tables for them."""
+def _search_plans(graph: Graph, masks: list[int]) -> list[_ComponentPlan]:
+    """One plan per triangle-connected component, with star tables for the
+    palette masks."""
     m = graph.edge_count
     triples = graph.triangle_edges()
     components = _edge_components(m, triples)
@@ -507,7 +543,10 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
     falling factorial (r)_k, and the edges of the unconstrained tail that no
     triangle narrowed keep all r choices.  The search therefore never looks at
     more than min(r, e) colors, and a huge r costs no more than a small one.
-    node_budget bounds the search nodes of the whole call.
+    As in :func:`count_gallai_with_palettes`, each component's plan ends,
+    where it can, with a star whose truth tables hold full palettes of
+    min(r, e) colors; one evaluation weighs its completions by the new colors
+    each opens.  node_budget bounds the search nodes of the whole call.
     """
     if r < 1:
         raise InvalidParameterError("need r >= 1")
@@ -523,8 +562,9 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
     for k in range(width):
         weight.append(weight[-1] * (r - k))
     full = (1 << width) - 1
-    searcher = _Searcher([full] * m, node_budget, weight, full, r)
-    return searcher.count(_search_plans(graph), 0)
+    masks = [full] * m
+    searcher = _Searcher(masks, node_budget, weight, full, r)
+    return searcher.count(_search_plans(graph, masks), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -502,16 +502,15 @@ def graph_from_name(name: str) -> Graph:
     s = name.strip()
     if len(s) > 1 and s[0] in "KCB":
         body = s[1:]
+        parts = body.split(",", 1) if s[0] == "K" else [body]
         try:
-            if s[0] == "K" and "," in body:
-                a, b = body.split(",", 1)
-                return complete_bipartite(int(a), int(b))
-            if s[0] == "K":
-                return complete(int(body))
-            if s[0] == "C":
-                return cycle(int(body))
-            if s[0] == "B":
-                return book(int(body))
+            sizes = [int(part) for part in parts]
         except ValueError:
-            pass  # fall through to graph6
+            pass  # not a family name: fall through to graph6
+        else:
+            # a body int() accepts holds a digit, a byte below graph6's range,
+            # so a bad size is the family's error and never a graph6 string
+            if len(sizes) == 2:
+                return complete_bipartite(*sizes)
+            return {"K": complete, "C": cycle, "B": book}[s[0]](*sizes)
     return graph6_decode(s)

@@ -72,6 +72,21 @@ class TestCount:
         assert code == 4
         assert "parse error" in err
 
+    @pytest.mark.parametrize("name, message", [
+        ("K0", "complete graph needs n >= 1"),
+        ("K2,0", "complete bipartite graph needs both sides nonempty"),
+        ("C2", "cycle needs n >= 3"),
+    ])
+    def test_bad_family_size_is_usage_error(self, capsys, name, message):
+        code, out, err = run(capsys, "count", name, "--r", "3")
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, count", [("D~{", "6129"), ("C~", "279")])
+    def test_graph6_names_still_parse(self, capsys, name, count):
+        assert run_json(capsys, "count", name, "--r", "3")["count"] == count
+
     def test_budget_exhaustion(self, capsys):
         code, out, err = run(capsys, "count", "K5", "--r", "3", "--naive",
                              "--leaf-budget", "10")

@@ -68,6 +68,11 @@ FROZEN_COUNTS = [
 ]
 
 
+# K7 counts of the K_n recurrence from Gallai's decomposition, which the
+# search without star tables reproduces too
+COMPLETE_SEVEN = [(3, 11_813_949), (4, 48_252_160), (5, 160_913_825)]
+
+
 class TestColoring:
     def test_normalizes_and_validates(self):
         c = Coloring({(0, 1): 2}, 3)
@@ -110,6 +115,10 @@ class TestFrozenCounts:
     def test_pruned_counter_hits_frozen_value(self, graph, r, expected):
         assert count_gallai(graph, r) == expected
 
+    @pytest.mark.parametrize("r,expected", COMPLETE_SEVEN)
+    def test_complete_seven_hits_recurrence_value(self, r, expected):
+        assert count_gallai(complete(7), r) == expected
+
     def test_naive_counter_agrees_on_small_cases(self):
         for graph, r, expected in FROZEN_COUNTS:
             if r ** graph.edge_count <= 10**6:
@@ -138,6 +147,42 @@ class TestOracleEquivalence:
                     assert count == count_gallai_with_palettes(g, [(1 << r) - 1] * m)
                     if r**m <= 10**6:
                         assert count == count_gallai_naive(g, r)
+
+    def test_star_tables_agree_with_branching_and_naive(self, monkeypatch):
+        plans = []
+
+        def recording_plans(graph, masks):
+            plans[:] = search_plans(graph, masks)
+            return plans
+
+        search_plans = gallai.counting._search_plans
+        monkeypatch.setattr(gallai.counting, "_search_plans", recording_plans)
+        rng = random.Random(71)
+        seen = {"components": 0, "new colors read": 0, "naive": 0}
+        for trial in range(180):
+            if trial % 3:
+                g = random_graph(rng, rng.randint(3, 6))
+            else:
+                g = disjoint_union(random_graph(rng, rng.randint(4, 5)),
+                                   random_graph(rng, rng.randint(4, 5)))
+            r = rng.choice((3, 4, 5, 7, 10**6))
+            count = count_gallai(g, r)
+            seen["components"] += sum(len(plan.order) > 1 for plan in plans) >= 2
+            # rows M_{k,t} exist only for levels k below the star's window
+            seen["new colors read"] += any(
+                plan.star is not None and any(k < plan.star.width for k in plan.star.fresh)
+                for plan in plans)
+            with monkeypatch.context() as patch:
+                # no star fits one table bit, so the search branches on every edge
+                patch.setattr(gallai.counting, "_STAR_TABLE_BITS", 1)
+                assert count == count_gallai(g, r)
+                assert all(plan.star is None for plan in plans)
+            if r**g.edge_count <= 10**6:
+                assert count == count_gallai_naive(g, r)
+                seen["naive"] += 1
+        assert seen["components"] >= 10
+        assert seen["new colors read"] >= 50
+        assert seen["naive"] >= 100
 
     def test_isolated_vertices_and_empty_graph(self):
         assert count_gallai(Graph(1, (0,)), 3) == 1
@@ -227,6 +272,10 @@ class TestGenerators:
             count_gallai(complete(6), 3, node_budget=50)
 
     def test_node_budget_covers_every_component_of_one_call(self):
+        # both components end in a star that the tables count
+        assert all(plan.star is not None
+                   for plan in gallai.counting._search_plans(K4_AND_DIAMOND, [0b1111] * 11))
+
         def count(graph, budget):
             return count_gallai(graph, 4, node_budget=budget)
 
@@ -307,24 +356,35 @@ class TestSearchPlan:
             tri_of_edge[ab].append((ac, bc))
             tri_of_edge[ac].append((ab, bc))
             tri_of_edge[bc].append((ab, ac))
+        m = len(edges)
+
+        def check(masks):
+            sizes = [mask.bit_count() for mask in masks]
+            plans = gallai.counting._search_plans(graph, masks)
+            assert sorted(e for plan in plans for e in plan.order) == list(range(m))
+            for plan in plans:
+                order, narrow, tail_start, star_start = reference_plan(
+                    sorted(plan.order), tri_of_edge, edges, sizes)
+                assert plan.order == order
+                assert plan.narrow == narrow
+                assert plan.tail_start == tail_start
+                assert plan.star_start == star_start
+                assert (plan.star is not None) == (star_start < tail_start)
+
         # palettes of 1..8 colors, so some stars are cut short by the table cap
-        rng = random.Random(len(edges))
-        masks = [sum(1 << c for c in rng.sample(range(8), rng.randint(1, 8))) for _ in edges]
-        sizes = [mask.bit_count() for mask in masks]
-        plans = gallai.counting._search_plans(graph, masks)
-        assert sorted(e for plan in plans for e in plan.order) == list(range(len(edges)))
-        for plan in plans:
-            order, narrow, tail_start, star_start = reference_plan(
-                sorted(plan.order), tri_of_edge, edges, sizes)
-            assert plan.order == order
-            assert plan.narrow == narrow
-            assert plan.tail_start == tail_start
-            assert plan.star_start == star_start
-            assert (plan.star is not None) == (star_start < tail_start)
-        # without palettes there is no star, and count_gallai always branches
-        for plan in gallai.counting._search_plans(graph):
-            assert plan.star_start == len(plan.order)
-            assert plan.star is None
+        rng = random.Random(m)
+        check([sum(1 << c for c in rng.sample(range(8), rng.randint(1, 8))) for _ in edges])
+        # count_gallai plans with full palettes of its window's width
+        for r in (3, 5, 10**6):
+            check([(1 << min(r, m)) - 1] * m)
+
+    # K7's last vertex has 6 edges: at r = 5 the table cap keeps 5 of them
+    # (5^5 <= 2^12 < 5^6), and at r = 10^6 the width is e = 21, so 2 (21^3 > 2^12)
+    @pytest.mark.parametrize("r, star_edges", [(3, 6), (5, 5), (10**6, 2)])
+    def test_count_gallai_star_is_cut_by_the_table_cap(self, r, star_edges):
+        [plan] = gallai.counting._search_plans(complete(7), [(1 << min(r, 21)) - 1] * 21)
+        assert len(plan.order) - plan.star_start == star_edges
+        assert plan.star is not None
 
     def test_component_deeper_than_the_stack_is_a_budget_error(self):
         # the search recurses once per edge; K70 has 2415 edges in one component
@@ -466,9 +526,14 @@ class TestPaletteCounting:
 
 def branching_palette_count(graph, masks):
     """The palette search on plans without star tables: it branches on every edge."""
+    with pytest.MonkeyPatch.context() as patch:
+        # not even a star of one-color palettes fits a table of no bits
+        patch.setattr(gallai.counting, "_STAR_TABLE_BITS", 0)
+        plans = gallai.counting._search_plans(graph, masks)
+    assert all(plan.star is None for plan in plans)
     start = max(masks).bit_length()
     searcher = gallai.counting._Searcher(masks, 10**9, {start: 1}, -1, 0)
-    return searcher.count(gallai.counting._search_plans(graph), start)
+    return searcher.count(plans, start)
 
 
 def enumerated_palette_count(graph, masks):

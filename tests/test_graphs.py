@@ -289,6 +289,9 @@ class TestGraphNames:
         ("C5", 5, 5),
         ("B4", 6, 9),
         ("D~{", 5, 10),
+        # graph6 strings that start with a family letter
+        ("Bw", 3, 3),
+        ("C~", 4, 6),
     ])
     def test_named_graphs(self, name, n, e):
         g = graph_from_name(name)
@@ -299,5 +302,9 @@ class TestGraphNames:
             graph_from_name("Zork")
 
     def test_bad_counts_rejected(self):
-        with pytest.raises((InvalidParameterError, ParseError)):
-            graph_from_name("K0")
+        for name, message in [("K0", "complete graph needs n >= 1"),
+                              ("K2,0", "complete bipartite graph needs both sides nonempty"),
+                              ("C2", "cycle needs n >= 3"),
+                              ("B-1", "book needs q >= 0 pages")]:
+            with pytest.raises(InvalidParameterError, match=message):
+                graph_from_name(name)
