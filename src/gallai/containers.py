@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, log2
+from math import comb, exp, isqrt, log, log2
 
 from .counting import DEFAULT_LEAF_BUDGET, gallai_colorings
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
@@ -127,13 +127,18 @@ class ContainerParams:
 
     @property
     def epsilon(self) -> float:
-        return float(self.epsilon_factor) * self.n ** float(self.epsilon_exponent)
+        return float(self.epsilon_factor) * exp(float(self.epsilon_exponent) * log(self.n))
 
 
 def container_params(n: int, r: int) -> ContainerParams:
     if n < 3 or r < 3:
         raise InvalidParameterError("need n >= 3 and r >= 3")
-    tau = (432 * r) ** 0.5 * n ** (-1.0 / 3.0)
+    # in logs, since n and r may be too large for a float while tau is not
+    try:
+        tau = exp(log(432 * r) / 2 - log(n) / 3)
+    except OverflowError:
+        raise InvalidParameterError(
+            "tau = sqrt(432 r) / n^(1/3) is too large for a float") from None
     return ContainerParams(n, r,
                            epsilon_exponent=Fraction(-1, 3),
                            epsilon_factor=Fraction(1, r * (r - 1) * (r - 2)),
@@ -146,8 +151,10 @@ def codegree_function(n: int, r: int, tau: float) -> float:
         raise InvalidParameterError("need n >= 3 and r >= 3")
     if not 0 < tau < 1:
         raise InvalidInputError("tau must lie strictly between 0 and 1")
+    # exact until the last step, since d may be too large for a float
     d = (r - 1) * (r - 2) * (n - 2)
-    return 4 * (r - 2) / (d * tau) + 2 / (d * tau * tau)
+    t = Fraction(tau)
+    return float(4 * (r - 2) / (d * t) + 2 / (d * t * t))
 
 
 def _tau_ok(n: int, r: int) -> bool:
@@ -183,9 +190,13 @@ def audit_params(n: int, r: int) -> ParamAudit:
     if n < 3 or r < 3:
         raise InvalidParameterError("need n >= 3 and r >= 3")
     tau_cross = isqrt((432 * r) ** 3 * TAU_CEILING_DENOM**6 - 1) + 1
-    lo, hi = 3, 4
-    while not _delta_ok(hi, r):
-        hi *= 2
+    # (n-3)^6 < n^6, so no n up to sqrt((r-2)^6 (432 r)^3) passes the Delta
+    # test, and the crossover lies a few steps above that root
+    lo = isqrt((r - 2) ** 6 * (432 * r) ** 3)
+    step = 1
+    while not _delta_ok(lo + step, r):
+        step *= 2
+    hi = lo + step
     while lo < hi:
         mid = (lo + hi) // 2
         if _delta_ok(mid, r):

@@ -17,7 +17,7 @@ import heapq
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log2
+from math import comb, log2, prod
 
 import numpy as np
 
@@ -282,17 +282,18 @@ class _StarTable:
 
 
 class _ComponentPlan:
-    """Search plan for one triangle-connected edge component.
+    """Search plan for one triangle-connected component that has a triangle.
 
     ``order[star_start:]`` is the longest suffix whose edges share a vertex
-    and whose palette sizes multiply to at most ``_STAR_TABLE_BITS``.  When
-    it starts before ``tail_start``, ``star`` holds its truth tables and the
-    search stops at ``star_start``, else at ``tail_start``.  ``count_gallai``
-    plans with full palettes of its window's width, so its stars hold up to
-    log_width(_STAR_TABLE_BITS) edges.
+    and whose palette sizes multiply to at most ``_STAR_TABLE_BITS``; the
+    search branches on the edges before it and stops at ``star_start``.
+    ``star`` holds the suffix's truth tables, or is None when the suffix is
+    empty because the last edge's palette alone is wider than the table.
+    ``count_gallai`` plans with full palettes of its window's width, so its
+    stars hold up to log_width(_STAR_TABLE_BITS) edges.
     """
 
-    __slots__ = ("order", "narrow", "tail_start", "tail", "star_start", "star", "stop")
+    __slots__ = ("order", "narrow", "star_start", "star")
 
     def __init__(self, comp: list[int], tri_of_edge: dict[int, list[tuple[int, int]]],
                  ends: list[tuple[int, int]], masks: list[int]):
@@ -317,9 +318,6 @@ class _ComponentPlan:
                 heapq.heappush(heap, (-score[third], third))
         pos = {e: i for i, e in enumerate(order)}
         narrow: list[tuple[tuple[int, int], ...]] = []
-        # past the last second-highest triangle position, remaining palettes
-        # are mutually unconstrained and multiply out
-        tail = 0
         for i, e in enumerate(order):
             pairs = []
             for f, g in tri_of_edge[e]:
@@ -328,14 +326,9 @@ class _ComponentPlan:
                     pairs.append((f, g))
                 elif pg < i < pf:
                     pairs.append((g, f))
-                elif i > pf:
-                    # e is the triangle's highest edge
-                    tail = max(tail, max(pf, pg) + 1)
             narrow.append(tuple(pairs))
         self.order = order
         self.narrow = narrow
-        self.tail_start = tail
-        self.tail = tuple(order[tail:])
         star_start = len(order)
         common = set(ends[order[-1]])
         bits = 1
@@ -347,8 +340,7 @@ class _ComponentPlan:
             star_start -= 1
         self.star_start = star_start
         self.star = None
-        self.stop = tail
-        if star_start < tail:
+        if star_start < len(order):
             star = order[star_start:]
             index = {e: i for i, e in enumerate(star)}
             # the triangles vab through two star edges va, vb, as (i, j, ab)
@@ -360,7 +352,6 @@ class _ComponentPlan:
                     elif index.get(g, -1) > i:
                         star_pairs.append((i, index[g], f))
             self.star = _StarTable(star, star_pairs, masks)
-            self.stop = star_start
 
 
 def _exhausted(meter: list[int]) -> ResourceLimitError:
@@ -378,32 +369,28 @@ class _Searcher:
     Level k of ``run(pos, k)`` is the number of colors the prefix has used.
     While k is inside the new-color window, an edge may take a color already
     used or the lowest one not yet used, bit k; every other color would only
-    relabel the same coloring.  A leaf at level k stands for ``weight[k]``
-    colorings, and a tail edge whose candidates still equal ``full`` counts
-    ``r`` choices.  A palette search starts past the window with weight 1 and
-    a ``full`` no mask equals, so it sees every candidate as given.
+    relabel the same coloring.  A palette search starts past the window with
+    weight 1, so it sees every candidate as given.
 
-    A search that reaches a plan's ``star_start`` before its ``tail_start``
-    counts the star's completions with one evaluation of the plan's
-    ``_StarTable`` instead of branching on the star edges: the completions
-    that open t new colors weigh ``weight[k + t]``.  A palette search is
-    always past the star's window, where every completion weighs
-    ``weight[k]``.  Every color tried at a branching level and every star
-    evaluation costs one node, and one meter covers every component of the
-    call.
+    Every search ends at its plan's ``star_start`` with one leaf: one
+    evaluation of the plan's ``_StarTable`` counts the star's completions
+    under the colored prefix, and those that open t new colors weigh
+    ``weight[k + t]``; past the star's window every completion weighs
+    ``weight[k]``.  A plan without a star has branched on every edge, and
+    its leaf is the one coloring of weight ``weight[k]``.  Every color tried
+    at a branching level and every star evaluation costs one node, and one
+    meter covers every component of the call.
     """
 
-    __slots__ = ("plan", "cand", "colors", "meter", "weight", "full", "r")
+    __slots__ = ("plan", "cand", "colors", "meter", "weight")
 
-    def __init__(self, masks: list[int], node_budget: int, weight, full: int, r: int):
+    def __init__(self, masks: list[int], node_budget: int, weight):
         self.plan: _ComponentPlan | None = None
         self.cand = list(masks)
         self.colors = [0] * len(masks)
         # [nodes left, budget]
         self.meter = [node_budget, node_budget]
         self.weight = weight
-        self.full = full
-        self.r = r
 
     def count(self, plans: list[_ComponentPlan], start: int) -> int:
         """Product of the component counts, each searched from level start;
@@ -419,16 +406,10 @@ class _Searcher:
     def run(self, pos: int, k: int) -> int:
         plan = self.plan
         cand = self.cand
-        if pos == plan.stop:
+        if pos == plan.star_start:
             star = plan.star
             if star is None:
-                # narrowing never empties a palette it leaves alive
-                prod = self.weight[k]
-                full = self.full
-                for e in plan.tail:
-                    mask = cand[e]
-                    prod *= self.r if mask == full else mask.bit_count()
-                return prod
+                return self.weight[k]
             meter = self.meter
             meter[0] -= 1
             if meter[0] < 0:
@@ -481,26 +462,67 @@ class _Searcher:
         return total
 
 
-def _search_plans(graph: Graph, masks: list[int]) -> list[_ComponentPlan]:
-    """One plan per triangle-connected component, with star tables for the
-    palette masks."""
+def _component_floor(graph: Graph) -> int:
+    """A lower bound on the edges of the largest triangle-connected component,
+    found without listing triangles.  For a vertex v and a connected piece P
+    of the graph its neighbourhood induces, the edges from v to P and the
+    edges inside P lie in one component: an edge pq inside P closes the
+    triangle vpq.  On K_n the bound is exact."""
+    adj = graph.adj
+    best = 0
+    for v in range(graph.n):
+        rest = around = adj[v]
+        while rest:
+            piece = frontier = rest & -rest
+            # twice the edges inside the piece: each member's neighbours in
+            # the neighbourhood all lie in its piece
+            ends = 0
+            while frontier:
+                grown = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    row = adj[bit.bit_length() - 1] & around
+                    ends += row.bit_count()
+                    grown |= row
+                frontier = grown & ~piece
+                piece |= frontier
+            rest &= ~piece
+            best = max(best, piece.bit_count() + ends // 2)
+    return best
+
+
+def _check_depth(edges: int, depth_cap: int, at_least: str = "") -> None:
+    if edges > depth_cap:
+        raise ResourceLimitError(
+            f"a triangle-connected component of {at_least}{edges} edges exceeds the "
+            f"search depth limit of {depth_cap} edges")
+
+
+def _search_plans(graph: Graph, masks: list[int]) -> tuple[list[_ComponentPlan], list[int]]:
+    """One plan per triangle-connected component that has a triangle, with
+    star tables for the palette masks, and the free edges: the edges in no
+    triangle, which no plan holds and which multiply out."""
     m = graph.edge_count
+    # the search recurses once per edge of a component, below its callers;
+    # a graph with more edges than that is first refused on a cheap lower
+    # bound, before its triangles are listed
+    depth_cap = sys.getrecursionlimit() - _CALLER_FRAMES
+    if m > depth_cap:
+        _check_depth(_component_floor(graph), depth_cap, "at least ")
     triples = graph.triangle_edges()
     components = _edge_components(m, triples)
-    # the search recurses once per edge of a component, below its callers
-    depth_cap = sys.getrecursionlimit() - _CALLER_FRAMES
-    largest = max(map(len, components), default=0)
-    if largest > depth_cap:
-        raise ResourceLimitError(
-            f"a triangle-connected component of {largest} edges exceeds the "
-            f"search depth limit of {depth_cap} edges")
+    _check_depth(max(map(len, components), default=0), depth_cap)
     tri_of_edge: dict[int, list[tuple[int, int]]] = {e: [] for e in range(m)}
     for a, b, c in triples:
         tri_of_edge[a].append((b, c))
         tri_of_edge[b].append((a, c))
         tri_of_edge[c].append((a, b))
     ends = graph.edges()
-    return [_ComponentPlan(comp, tri_of_edge, ends, masks) for comp in components]
+    plans = [_ComponentPlan(comp, tri_of_edge, ends, masks)
+             for comp in components if len(comp) > 1]
+    free = [comp[0] for comp in components if len(comp) == 1]
+    return plans, free
 
 
 def count_gallai_with_palettes(graph: Graph, palette_masks, *,
@@ -509,12 +531,13 @@ def count_gallai_with_palettes(graph: Graph, palette_masks, *,
     palette_masks[i] (bit c-1 stands for color c), aligned with graph.edges().
 
     The same search as :func:`count_gallai`, without the new-color window.
-    Each component's plan ends, where it can, with a star: a suffix of edges
-    at one vertex whose palette sizes multiply to at most
-    ``_STAR_TABLE_BITS``.  Its truth tables are built once per call, and the
-    search counts the star's completions under a colored prefix as the
-    popcount of an AND of table rows, one node per evaluation.  node_budget
-    bounds the search nodes of the whole call.
+    An edge in no triangle is free: it takes no part in the search and
+    multiplies the count by its palette size.  Every other component's search
+    ends in one leaf, its star: a suffix of edges at one vertex whose palette
+    sizes multiply to at most ``_STAR_TABLE_BITS``.  Its truth tables are
+    built once per call, and the search counts the star's completions under
+    a colored prefix as the popcount of an AND of table rows, one node per
+    evaluation.  node_budget bounds the search nodes of the whole call.
     """
     masks = list(palette_masks)
     m = graph.edge_count
@@ -526,10 +549,11 @@ def count_gallai_with_palettes(graph: Graph, palette_masks, *,
         raise InvalidInputError("negative palette mask")
     if any(mask == 0 for mask in masks):
         return 0
+    plans, free = _search_plans(graph, masks)
     # past every palette's highest bit no color is new: the search is plain
     start = max(masks).bit_length()
-    searcher = _Searcher(masks, node_budget, {start: 1}, -1, 0)
-    return searcher.count(_search_plans(graph, masks), start)
+    searcher = _Searcher(masks, node_budget, {start: 1})
+    return searcher.count(plans, start) * prod(masks[e].bit_count() for e in free)
 
 
 def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -539,13 +563,13 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
     closes triangles early, pruning on completed rainbow triangles and
     narrowing palettes by forced-color propagation.  Colors are
     interchangeable, so an edge may only take a color already used or the
-    lowest unused one; a leaf whose prefix used k colors is weighted by the
-    falling factorial (r)_k, and the edges of the unconstrained tail that no
-    triangle narrowed keep all r choices.  The search therefore never looks at
-    more than min(r, e) colors, and a huge r costs no more than a small one.
-    As in :func:`count_gallai_with_palettes`, each component's plan ends,
-    where it can, with a star whose truth tables hold full palettes of
-    min(r, e) colors; one evaluation weighs its completions by the new colors
+    lowest unused one, and a coloring whose edges used k colors is weighted
+    by the falling factorial (r)_k.  The search therefore never looks at more
+    than min(r, e) colors, and a huge r costs no more than a small one.  An
+    edge in no triangle is free: it takes no part in the search and keeps all
+    r choices.  As in :func:`count_gallai_with_palettes`, each search ends in
+    one leaf, its star, whose truth tables hold full palettes of min(r, e)
+    colors; one evaluation weighs the star's completions by the new colors
     each opens.  node_budget bounds the search nodes of the whole call.
     """
     if r < 1:
@@ -561,10 +585,10 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
     weight = [1]
     for k in range(width):
         weight.append(weight[-1] * (r - k))
-    full = (1 << width) - 1
-    masks = [full] * m
-    searcher = _Searcher(masks, node_budget, weight, full, r)
-    return searcher.count(_search_plans(graph, masks), 0)
+    masks = [(1 << width) - 1] * m
+    plans, free = _search_plans(graph, masks)
+    searcher = _Searcher(masks, node_budget, weight)
+    return searcher.count(plans, 0) * r ** len(free)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +646,10 @@ def asymptotic_bounds(n: int, r: int) -> AsymptoticBounds:
     lower = (Fraction(comb(r, 2)) + Fraction(1, 2**n)) * Fraction(2**m)
     lower_log2 = log2(lower.numerator) - log2(lower.denominator)
     exponent = n / (4.0 * log2(n) ** 2)
-    upper_log2 = log2(comb(r, 2) + 2.0 ** (-exponent)) + m
+    # log2(C(r,2) + 2^-x) = log2 C(r,2) + log2(1 + 2^(-x - log2 C(r,2))), finite
+    # for every r, where C(r,2) itself may be too large for a float
+    pairs_log2 = log2(comb(r, 2))
+    upper_log2 = pairs_log2 + log2(1 + 2.0 ** (-exponent - pairs_log2)) + m
     return AsymptoticBounds(n, r, lower, lower_log2, upper_log2)
 
 

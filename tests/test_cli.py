@@ -1,7 +1,7 @@
 import decimal
 import json
 import time
-from math import comb
+from math import comb, isfinite, log2
 
 import pytest
 
@@ -398,6 +398,30 @@ class TestNonFiniteFloats:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "error:" in err
+
+
+class TestHugeIntegerFlags:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--n", "5", "--r", str(10**400)),
+        ("hypergraph", "audit", "--n", "5", "--r", str(10**400)),
+        ("hypergraph", "audit", "--n", str(10**400), "--r", "3"),
+        ("hypergraph", "audit", "--n", str(10**400), "--r", "3", "--tau", "0.5"),
+    ])
+    def test_floats_stay_finite(self, capsys, argv):
+        payload = run_json(capsys, *argv)
+        floats = [v for v in payload.values() if isinstance(v, float)]
+        assert floats and all(isfinite(v) for v in floats)
+
+    def test_bounds_past_the_float_range(self, capsys):
+        payload = run_json(capsys, "bounds", "--n", "5", "--r", str(10**400))
+        pairs_log2 = log2(comb(10**400, 2))
+        assert payload["lower_simple_log2"] == pytest.approx(pairs_log2 + 10, rel=1e-12)
+        assert payload["upper_log2"] >= payload["lower_simple_log2"]
+
+    def test_tau_past_the_float_range_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "hypergraph", "audit", "--n", "5", "--r", str(10**1000))
+        assert (code, out) == (2, "")
+        assert "error: tau" in err
 
 
 class TestBounds:

@@ -152,8 +152,9 @@ class TestOracleEquivalence:
         plans = []
 
         def recording_plans(graph, masks):
-            plans[:] = search_plans(graph, masks)
-            return plans
+            found = search_plans(graph, masks)
+            plans[:] = found[0]
+            return found
 
         search_plans = gallai.counting._search_plans
         monkeypatch.setattr(gallai.counting, "_search_plans", recording_plans)
@@ -167,7 +168,7 @@ class TestOracleEquivalence:
                                    random_graph(rng, rng.randint(4, 5)))
             r = rng.choice((3, 4, 5, 7, 10**6))
             count = count_gallai(g, r)
-            seen["components"] += sum(len(plan.order) > 1 for plan in plans) >= 2
+            seen["components"] += len(plans) >= 2
             # rows M_{k,t} exist only for levels k below the star's window
             seen["new colors read"] += any(
                 plan.star is not None and any(k < plan.star.width for k in plan.star.fresh)
@@ -273,8 +274,9 @@ class TestGenerators:
 
     def test_node_budget_covers_every_component_of_one_call(self):
         # both components end in a star that the tables count
-        assert all(plan.star is not None
-                   for plan in gallai.counting._search_plans(K4_AND_DIAMOND, [0b1111] * 11))
+        plans, free = gallai.counting._search_plans(K4_AND_DIAMOND, [0b1111] * 11)
+        assert len(plans) == 2 and not free
+        assert all(plan.star is not None for plan in plans)
 
         def count(graph, budget):
             return count_gallai(graph, 4, node_budget=budget)
@@ -292,9 +294,9 @@ class TestGenerators:
         masks = {complete(3): [0b111] * 3, complete(4): k4_masks, DIAMOND: diamond_masks,
                  K4_AND_DIAMOND: k4_masks + diamond_masks}
         # both components end in a star that the tables count
-        assert all(plan.star is not None
-                   for plan in gallai.counting._search_plans(K4_AND_DIAMOND,
-                                                              masks[K4_AND_DIAMOND]))
+        plans, free = gallai.counting._search_plans(K4_AND_DIAMOND, masks[K4_AND_DIAMOND])
+        assert len(plans) == 2 and not free
+        assert all(plan.star is not None for plan in plans)
 
         def count(graph, budget):
             return count_gallai_with_palettes(graph, masks[graph], node_budget=budget)
@@ -306,6 +308,28 @@ class TestGenerators:
         with pytest.raises(ResourceLimitError):
             count(K4_AND_DIAMOND, need - 1)
         assert count(K4_AND_DIAMOND, need) == count(complete(4), need) * count(DIAMOND, need)
+
+    def test_free_edges_build_no_plan_and_cost_no_node(self):
+        # K4 on 0..3 with two pendant edges, 3-4 and 4-5, that lie in no triangle
+        k4 = complete(4)
+        pendant = Graph.from_edges(6, list(k4.edges()) + [(3, 4), (4, 5)])
+        k4_masks = [0b0111, 0b1110, 0b1011, 0b0111, 0b1101, 0b1111]
+        masks = {k4: k4_masks, pendant: k4_masks + [0b0110, 0b1011]}
+        plans, free = gallai.counting._search_plans(pendant, masks[pendant])
+        assert [plan.order for plan in plans] == [
+            plan.order for plan in gallai.counting._search_plans(k4, k4_masks)[0]]
+        assert [pendant.edges()[e] for e in free] == [(3, 4), (4, 5)]
+
+        def count(graph, budget):
+            return count_gallai(graph, 4, node_budget=budget)
+
+        def palette_count(graph, budget):
+            return count_gallai_with_palettes(graph, masks[graph], node_budget=budget)
+
+        assert least_budget(count, pendant) == least_budget(count, k4)
+        assert least_budget(palette_count, pendant) == least_budget(palette_count, k4)
+        assert count_gallai(pendant, 4) == 16 * count_gallai(k4, 4)
+        assert palette_count(pendant, 10**9) == 2 * 3 * palette_count(k4, 10**9)
 
 
 def reference_plan(comp, tri_of_edge, ends, sizes):
@@ -329,10 +353,6 @@ def reference_plan(comp, tri_of_edge, ends, sizes):
             if pos[lo] < i < pos[hi]:
                 pairs.append((lo, hi))
         narrow.append(tuple(pairs))
-    tail_start = 0
-    for e in comp:
-        for f, g in tri_of_edge[e]:
-            tail_start = max(tail_start, sorted((pos[e], pos[f], pos[g]))[1] + 1)
 
     def star_fits(start):
         suffix = order[start:]
@@ -340,7 +360,7 @@ def reference_plan(comp, tri_of_edge, ends, sizes):
         return bool(at_one_vertex) and \
             prod(sizes[e] for e in suffix) <= gallai.counting._STAR_TABLE_BITS
     star_start = min(s for s in range(len(order) + 1) if star_fits(s))
-    return order, narrow, tail_start, star_start
+    return order, narrow, star_start
 
 
 class TestSearchPlan:
@@ -360,16 +380,17 @@ class TestSearchPlan:
 
         def check(masks):
             sizes = [mask.bit_count() for mask in masks]
-            plans = gallai.counting._search_plans(graph, masks)
-            assert sorted(e for plan in plans for e in plan.order) == list(range(m))
+            plans, free = gallai.counting._search_plans(graph, masks)
+            # an edge in no triangle is free, and every other edge is in one plan
+            assert free == [e for e in range(m) if not tri_of_edge[e]]
+            assert sorted(free + [e for plan in plans for e in plan.order]) == list(range(m))
             for plan in plans:
-                order, narrow, tail_start, star_start = reference_plan(
+                order, narrow, star_start = reference_plan(
                     sorted(plan.order), tri_of_edge, edges, sizes)
                 assert plan.order == order
                 assert plan.narrow == narrow
-                assert plan.tail_start == tail_start
                 assert plan.star_start == star_start
-                assert (plan.star is not None) == (star_start < tail_start)
+                assert (plan.star is not None) == (star_start < len(order))
 
         # palettes of 1..8 colors, so some stars are cut short by the table cap
         rng = random.Random(m)
@@ -382,7 +403,7 @@ class TestSearchPlan:
     # (5^5 <= 2^12 < 5^6), and at r = 10^6 the width is e = 21, so 2 (21^3 > 2^12)
     @pytest.mark.parametrize("r, star_edges", [(3, 6), (5, 5), (10**6, 2)])
     def test_count_gallai_star_is_cut_by_the_table_cap(self, r, star_edges):
-        [plan] = gallai.counting._search_plans(complete(7), [(1 << min(r, 21)) - 1] * 21)
+        [plan], _ = gallai.counting._search_plans(complete(7), [(1 << min(r, 21)) - 1] * 21)
         assert len(plan.order) - plan.star_start == star_edges
         assert plan.star is not None
 
@@ -392,6 +413,29 @@ class TestSearchPlan:
             count_gallai(complete(70), 3)
         with pytest.raises(ResourceLimitError, match="depth"):
             count_gallai_with_palettes(complete(70), [0b111] * comb(70, 2))
+
+    def test_deep_component_is_refused_before_triangles_are_listed(self, monkeypatch):
+        def no_listing(graph):
+            raise AssertionError("triangles listed")
+
+        monkeypatch.setattr(Graph, "triangle_edges", no_listing)
+        with pytest.raises(ResourceLimitError, match="at least 179700 edges"):
+            count_gallai(complete(600), 3)
+        with pytest.raises(ResourceLimitError, match="at least 179700 edges"):
+            count_gallai_with_palettes(complete(600), [0b111] * comb(600, 2))
+
+    def test_component_floor_bounds_the_largest_component(self):
+        # exact on K_n, and never above the largest component elsewhere
+        for n in (1, 2, 3, 7, 41):
+            assert gallai.counting._component_floor(complete(n)) == comb(n, 2)
+        rng = random.Random(73)
+        graphs = [random_graph(rng, rng.randint(3, 9)) for _ in range(60)]
+        graphs += [cycle(6), book(4), complete_bipartite(3, 4), K4_AND_DIAMOND]
+        for g in graphs:
+            largest = max(map(len, gallai.counting._edge_components(
+                g.edge_count, g.triangle_edges())), default=0)
+            assert gallai.counting._component_floor(g) <= largest
+        assert gallai.counting._component_floor(book(4)) == comb(6, 2) - comb(4, 2)
 
 
 class TestSurjectiveDecomposition:
@@ -502,8 +546,8 @@ class TestPaletteCounting:
             if width**m <= 10**6:
                 assert count == enumerated_palette_count(g, masks)
                 seen["enumerated"] += 1
-            plans = gallai.counting._search_plans(g, masks)
-            seen["components"] += sum(len(plan.order) > 1 for plan in plans) >= 2
+            plans, _ = gallai.counting._search_plans(g, masks)
+            seen["components"] += len(plans) >= 2
             seen["narrowed star"] += any(narrowed_star(plan, g.edges()) for plan in plans)
         assert seen["components"] >= 10
         assert seen["narrowed star"] >= 1
@@ -518,7 +562,7 @@ class TestPaletteCounting:
         masks = [(1 << 16) - 1 if v == 7 else
                  sum(1 << c for c in rng.sample(range(16), rng.randint(1, 2)))
                  for u, v in g.edges()]
-        [plan] = gallai.counting._search_plans(g, masks)
+        [plan], _ = gallai.counting._search_plans(g, masks)
         assert len(plan.order) - plan.star_start == 3
         assert narrowed_star(plan, g.edges())
         assert count_gallai_with_palettes(g, masks) == branching_palette_count(g, masks)
@@ -529,11 +573,11 @@ def branching_palette_count(graph, masks):
     with pytest.MonkeyPatch.context() as patch:
         # not even a star of one-color palettes fits a table of no bits
         patch.setattr(gallai.counting, "_STAR_TABLE_BITS", 0)
-        plans = gallai.counting._search_plans(graph, masks)
+        plans, free = gallai.counting._search_plans(graph, masks)
     assert all(plan.star is None for plan in plans)
     start = max(masks).bit_length()
-    searcher = gallai.counting._Searcher(masks, 10**9, {start: 1}, -1, 0)
-    return searcher.count(plans, start)
+    searcher = gallai.counting._Searcher(masks, 10**9, {start: 1})
+    return searcher.count(plans, start) * prod(masks[e].bit_count() for e in free)
 
 
 def enumerated_palette_count(graph, masks):
