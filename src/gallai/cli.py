@@ -11,11 +11,12 @@ carries its handler on its own subparser.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import isfinite, log2
+from math import isfinite
 from pathlib import Path
 
 from . import containers, counting, extremal, stability, templates
@@ -280,10 +281,11 @@ def _cmd_verify_cover(args) -> dict:
 
 def _cmd_bounds(args) -> dict:
     bounds = counting.asymptotic_bounds(args.n, args.r)
-    two_color = counting.lower_bound_two_color(args.n, args.r)
+    exact = args.n <= counting.EXACT_BOUNDS_LIMIT
     return {"n": args.n, "r": args.r,
-            "lower_two_color": _digits(two_color),
-            "lower_two_color_log2": log2(two_color),
+            "lower_two_color": (_digits(counting.lower_bound_two_color(args.n, args.r))
+                                if exact else None),
+            "lower_two_color_log2": bounds.two_color_log2,
             "lower_simple_log2": bounds.trivial_lower_log2,
             "upper_log2": bounds.main_upper_log2}
 
@@ -302,7 +304,10 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, subcommand: bool) -> N
         parser.add_argument(flag, dest=key, type=parse, default=d)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it, so
+    repeated ``main`` calls in one process parse without rebuilding it."""
     # allow_abbrev off so the global flags never swallow subcommand options
     # that share a prefix (verify-cover's --c starts several global flags)
     parser = argparse.ArgumentParser(prog="gallai", allow_abbrev=False,

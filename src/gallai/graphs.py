@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb, sqrt
 
-import numpy as np
-
+# numpy is imported only inside _relabel_weights and all_graphs: at module
+# level it would add its start-up time to every CLI run, most of which never use it
 from .errors import InvalidParameterError, ParseError, ResourceLimitError
 
 # Enumerating isomorphism classes walks all 2^C(n,2) labeled graphs.
@@ -324,10 +324,12 @@ def _mask_to_graph(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _relabel_weights(n: int) -> np.ndarray:
-    """(n!, C(n,2)) table: entry (p, i) is the packed-mask bit that pair i of
-    ``edge_pairs(n)`` sets after the p-th vertex permutation, so a mask with
-    pair bits b relabels to ``table @ b``."""
+def _relabel_weights(n: int):
+    """The (n!, C(n,2)) int64 numpy array whose entry (p, i) is the
+    packed-mask bit that pair i of ``edge_pairs(n)`` sets after the p-th
+    vertex permutation, so a mask with pair bits b relabels to ``table @ b``."""
+    import numpy as np
+
     pairs = edge_pairs(n)
     slot = np.zeros((n, n), dtype=np.int64)
     for i, (u, v) in enumerate(pairs):
@@ -369,6 +371,8 @@ def all_graphs(n: int):
     if n > ALL_GRAPHS_LIMIT:
         raise ResourceLimitError(
             f"labeled enumeration walks 2^C(n,2) graphs; n={n} > {ALL_GRAPHS_LIMIT}")
+    import numpy as np
+
     pairs = edge_pairs(n)
     m = len(pairs)
     weights = _relabel_weights(n)

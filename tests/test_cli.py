@@ -1,11 +1,17 @@
 import decimal
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb, isfinite, log2
+from pathlib import Path
 
 import pytest
 
-from gallai.cli import load_config, main
+import gallai
+from gallai.cli import build_parser, load_config, main
+from gallai.counting import EXACT_BOUNDS_LIMIT
 from gallai.errors import InvalidInputError
 from gallai.graphs import Graph, edge_index
 from gallai.templates import Template, pair_template, template_to_text
@@ -439,6 +445,109 @@ class TestBounds:
             expected = str(decimal.Decimal(3 * 2**comb(200, 2) - 3))
         assert len(expected) > 4300
         assert payload["lower_two_color"] == expected
+
+    def test_last_exact_n_is_unchanged(self, capsys):
+        assert EXACT_BOUNDS_LIMIT == 500
+        payload = run_json(capsys, "bounds", "--n", "500", "--r", "3")
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40_000
+            expected = str(decimal.Decimal(3 * 2**comb(500, 2) - 3))
+        assert payload == {"lower_simple_log2": 124751.58496250072,
+                           "lower_two_color": expected,
+                           "lower_two_color_log2": 124751.58496250072,
+                           "n": 500, "r": 3, "upper_log2": 124751.73998889004}
+
+    @pytest.mark.parametrize("r", [2, 3, 10])
+    def test_past_the_cap_every_log2_is_computed_in_log_space(self, capsys, r):
+        n = EXACT_BOUNDS_LIMIT + 1
+        m = comb(n, 2)
+        payload = run_json(capsys, "bounds", "--n", str(n), "--r", str(r))
+        assert payload["lower_two_color"] is None
+        assert payload["lower_two_color_log2"] == pytest.approx(
+            log2(comb(r, 2) * 2**m - r * (r - 2)), rel=1e-15)
+        assert payload["lower_simple_log2"] == pytest.approx(
+            log2(comb(r, 2) * 2**n + 1) - n + m, rel=1e-15)
+        assert payload["upper_log2"] > payload["lower_simple_log2"]
+
+    @pytest.mark.parametrize("n", [10**5, 10**150], ids=["1e5", "1e150"])
+    def test_huge_n_prints_finite_log2_at_once(self, capsys, n):
+        start = time.perf_counter()
+        payload = run_json(capsys, "bounds", "--n", str(n), "--r", "3")
+        assert time.perf_counter() - start < 2.0
+        assert payload["lower_two_color"] is None
+        floats = [v for k, v in payload.items() if k.endswith("_log2")]
+        assert len(floats) == 3 and all(isfinite(v) for v in floats)
+        assert payload["lower_simple_log2"] == pytest.approx(comb(n, 2) + log2(3), rel=1e-15)
+
+    def test_n_past_the_float_range_is_a_usage_error(self, capsys):
+        # log2 of 2^C(n,2) is about 5e799 here, which no float holds
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--n", str(10**400), "--r", "3")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert "float range" in err
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, capsys, full_template_file):
+        calls = [("count", "K5", "--r", "3"), ("count", "K5"),
+                 ("bounds", "--n", "6", "--r", "3"),
+                 ("template", "count-ga", full_template_file), ("count", "K5", "--r", "3")]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0]
+
+
+# Runs main in a fresh interpreter, which has not imported numpy yet (this
+# one has); prints the exit code, stdout and whether numpy got loaded.
+_PROBE = """
+import contextlib, io, json, sys
+from gallai.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "out": out.getvalue(), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    src = str(Path(gallai.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], check=True, timeout=60,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}).stdout
+
+
+class TestColdStart:
+    """numpy loads only for the commands that use it."""
+
+    @pytest.mark.parametrize("module", ["gallai", "gallai.cli"])
+    def test_import_leaves_numpy_unloaded(self, module):
+        code = f"import sys, {module}; print('numpy' in sys.modules)"
+        assert fresh_python(code).strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "K5", "--r", "3"),
+        ("bounds", "--n", "6", "--r", "3"),
+        ("hypergraph", "audit", "--n", "10", "--r", "3"),
+        ("template", "count-ga", "TEMPLATE"),
+    ])
+    def test_commands_leave_numpy_unloaded(self, capsys, full_template_file, argv):
+        argv = [full_template_file if a == "TEMPLATE" else a for a in argv]
+        probe = json.loads(fresh_python(_PROBE, *argv))
+        assert probe == {"code": 0, "out": run(capsys, *argv)[1], "numpy": False}
+
+    def test_extremal_loads_numpy_and_prints_the_same_table(self, capsys):
+        argv = ["extremal", "--n", "4", "--r", "3"]
+        probe = json.loads(fresh_python(_PROBE, *argv))
+        assert probe == {"code": 0, "out": run(capsys, *argv)[1], "numpy": True}
+        assert json.loads(probe["out"])["max_count"] == "279"
 
 
 class TestSettings:

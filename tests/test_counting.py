@@ -11,6 +11,7 @@ import pytest
 import gallai.counting
 from conftest import assignment_is_gallai, brute_count_gallai, brute_triangles, random_graph
 from gallai.counting import (
+    EXACT_BOUNDS_LIMIT,
     Coloring,
     asymptotic_bounds,
     book_gallai_count,
@@ -501,6 +502,14 @@ class TestClosedForms:
         assert b.trivial_lower_log2 == pytest.approx(log2(98816), rel=1e-12)
         assert b.main_upper_log2 == pytest.approx(16.94706834833339, rel=1e-12)
         assert lower_bound_two_color(6, 3) <= count_gallai(complete(6), 3)
+        assert b.two_color_log2 == log2(lower_bound_two_color(6, 3))
+
+    def test_exact_bounds_stop_at_the_cap(self):
+        n = EXACT_BOUNDS_LIMIT + 1
+        with pytest.raises(ResourceLimitError):
+            lower_bound_two_color(n, 3)
+        assert asymptotic_bounds(n, 3).trivial_lower is None
+        assert asymptotic_bounds(n - 1, 3).trivial_lower is not None
 
 
 class TestPaletteCounting:
