@@ -2,7 +2,7 @@
 (Gallai) edge colorings of small graphs."""
 
 from .counting import (AsymptoticBounds, Coloring, asymptotic_bounds, book_gallai_count,
-                       count_gallai, count_gallai_naive, count_gallai_with_palettes,
+                       count_complete, count_gallai, count_gallai_naive, count_gallai_with_palettes,
                        gallai_colorings, is_gallai, lower_bound_two_color,
                        max_matching_size, red_once_count, s_deviation)
 from .errors import (GallaiError, InvalidInputError, InvalidParameterError, ParseError,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, isqrt, log, log2
 
-from .counting import DEFAULT_LEAF_BUDGET, gallai_colorings
+from .counting import DEFAULT_LEAF_BUDGET, gallai_colorings, sample_complete
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from .graphs import complete, edge_pairs
 from .templates import Template, rt_count
@@ -25,8 +25,6 @@ BUILD_R_LIMIT = 6
 # container-constant cap for k = 3: 1000 * (3!)^3 * 3
 DEFAULT_C_CAP = 648000.0
 DEFAULT_SAMPLE_SIZE = 10_000
-# uniform draws a rejection sample makes before it gives up
-_REJECTION_TRIES = 200
 
 # tau must stay below 1/(200 * (3!)^2 * 3)
 TAU_CEILING_DENOM = 200 * 36 * 3
@@ -220,12 +218,18 @@ class PropertyReport:
 
 @dataclass(frozen=True)
 class CoverCertificate:
+    """The three property reports, and how coverage was checked: ``mode`` is
+    "exhaustive" or "sampled", and ``three_color_checked`` counts the
+    checked colorings that use three colors or more."""
+
     n: int
     r: int
     family_size: int
     coverage: PropertyReport
     sparsity: PropertyReport
     size_bound: PropertyReport
+    mode: str
+    three_color_checked: int
 
     @property
     def passed(self) -> bool:
@@ -236,46 +240,21 @@ def _covered(palettes: tuple[int, ...], assignment: tuple[int, ...]) -> bool:
     return all(mask >> (c - 1) & 1 for mask, c in zip(palettes, assignment))
 
 
-def _two_color_sample(rng: random.Random, m: int, r: int) -> tuple[int, ...]:
-    i, j = rng.sample(range(1, r + 1), 2)
-    return tuple(rng.choice((i, j)) for _ in range(m))
-
-
-def _rejection_sample(rng: random.Random, m: int, r: int, triples):
-    for _ in range(_REJECTION_TRIES):
-        assignment = tuple(rng.randrange(1, r + 1) for _ in range(m))
-        if all(not (x != y and y != z and x != z)
-               for x, y, z in ((assignment[a], assignment[b], assignment[c])
-                               for a, b, c in triples)):
-            return assignment
-    return None
-
-
-def _sampled_colorings(n: int, r: int, sample_size: int, seed: int):
-    """sample_size seeded colorings of K_n; odd draws try rejection sampling."""
-    rng = random.Random(seed)
-    triples = complete(n).triangle_edges()
-    m = comb(n, 2)
-    for k in range(sample_size):
-        assignment = None
-        if k % 2 and r >= 3:
-            assignment = _rejection_sample(rng, m, r, triples)
-        if assignment is None:
-            assignment = _two_color_sample(rng, m, r)
-        yield assignment
-
-
 def verify_cover(family, n: int, r: int, c: float, *,
                  sample_size: int = DEFAULT_SAMPLE_SIZE, seed: int = 0,
                  leaf_budget: int = DEFAULT_LEAF_BUDGET) -> CoverCertificate:
     """Check the three cover properties for a claimed template family.
 
     Coverage is exhaustive for n <= 4, a sweep of all r^C(n,2) colorings
-    that leaf_budget bounds, and sampled above that; the sampler
-    mixes random two-color colorings with rejection-sampled uniform ones.
-    Sparsity is the per-template integer test RT^3 * n <= C(n,3)^3, and the
-    size bound compares log2 of the family size against c n^(-1/3) log2^2(n)
-    C(n,2).  A failing property always carries a concrete witness.
+    that leaf_budget bounds.  Above that it checks sample_size colorings,
+    each drawn uniformly from the Gallai r-colorings of K_n with Gallai's
+    decomposition, so three-color colorings turn up as often as they
+    exist; its tables are capped by ``counting.COMPLETE_BITS``.  The
+    certificate says which of the two it did and how many checked colorings
+    used three colors or more.  Sparsity is the per-template integer test
+    RT^3 * n <= C(n,3)^3, and the size bound compares log2 of the family
+    size against c n^(-1/3) log2^2(n) C(n,2).  A failing property always
+    carries a concrete witness.
     """
     if n < 3 or r < 2:
         raise InvalidParameterError("need n >= 3 and r >= 2")
@@ -288,13 +267,16 @@ def verify_cover(family, n: int, r: int, c: float, *,
     palette_sets = [t.palettes for t in family]
 
     if n <= 4:
+        mode = "exhaustive"
         colorings = gallai_colorings(complete(n), r, leaf_budget=leaf_budget)
     else:
-        colorings = _sampled_colorings(n, r, sample_size, seed)
-    checked = 0
+        mode = "sampled"
+        colorings = sample_complete(n, r, sample_size, random.Random(seed))
+    checked = three_color = 0
     witness = None
     for assignment in colorings:
         checked += 1
+        three_color += len(set(assignment)) >= 3
         if not any(_covered(p, assignment) for p in palette_sets):
             witness = {"coloring": dict(zip(edge_pairs(n), assignment))}
             break
@@ -316,4 +298,5 @@ def verify_cover(family, n: int, r: int, c: float, *,
         witness = {"log2_family": measured, "limit": limit}
     size_bound = PropertyReport("size-bound", witness is None, len(family), witness)
 
-    return CoverCertificate(n, r, len(family), coverage, sparsity, size_bound)
+    return CoverCertificate(n, r, len(family), coverage, sparsity, size_bound,
+                            mode, three_color)

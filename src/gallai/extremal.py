@@ -7,9 +7,9 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .counting import DEFAULT_NODE_BUDGET, count_gallai
+from .counting import DEFAULT_NODE_BUDGET, count_complete, count_gallai
 from .errors import InvalidParameterError, ResourceLimitError
-from .graphs import all_graphs, complete, complete_bipartite, graph6_encode
+from .graphs import all_graphs, graph6_encode
 # unused here, but bench/spans.py traces them through this module by name
 from .graphs import canonical_form, canonical_graph  # noqa: F401
 
@@ -139,12 +139,14 @@ class KnownComparison:
     winner: str
 
 
-def compare_known(n: int, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> KnownComparison:
-    """Exact counts for K_n versus the balanced complete bipartite graph."""
+def compare_known(n: int, r: int) -> KnownComparison:
+    """Exact counts for K_n versus the balanced complete bipartite graph, in
+    closed form: K_n from ``count_complete``, and K_{⌊n/2⌋,⌈n/2⌉}, which has
+    no triangle, as r^(⌊n/2⌋ ⌈n/2⌉)."""
     if n < 2 or r < 1:
         raise InvalidParameterError("need n >= 2 and r >= 1")
-    full = count_gallai(complete(n), r, node_budget=node_budget)
-    bip = count_gallai(complete_bipartite(n // 2, n - n // 2), r, node_budget=node_budget)
+    full = count_complete(n, r)
+    bip = r ** (n // 2 * (n - n // 2))
     winner = "complete" if full > bip else "bipartite" if bip > full else "tie"
     return KnownComparison(n, r, full, bip, winner)
 

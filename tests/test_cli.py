@@ -525,12 +525,18 @@ def fresh_python(code: str, *argv: str) -> str:
 
 
 class TestColdStart:
-    """numpy loads only for the commands that use it."""
+    """numpy loads only for the commands that use it, and the K_n tables
+    are built on first use."""
 
     @pytest.mark.parametrize("module", ["gallai", "gallai.cli"])
     def test_import_leaves_numpy_unloaded(self, module):
         code = f"import sys, {module}; print('numpy' in sys.modules)"
         assert fresh_python(code).strip() == "False"
+
+    def test_import_builds_no_decomposition_table(self):
+        code = ("import gallai.cli, gallai.counting as c; "
+                "print(c._decomposition.cache_info().currsize)")
+        assert fresh_python(code).strip() == "0"
 
     @pytest.mark.parametrize("argv", [
         ("count", "K5", "--r", "3"),

@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from conftest import random_template
+import gallai.containers
 from gallai.containers import (
     BUILD_N_LIMIT,
     TAU_CEILING_DENOM,
@@ -19,7 +21,8 @@ from gallai.containers import (
     template_vertices,
     verify_cover,
 )
-from gallai.counting import Coloring, gallai_colorings, is_gallai
+from gallai.counting import (Coloring, count_complete, gallai_colorings, is_gallai,
+                             lower_bound_two_color, sample_complete)
 from gallai.errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from gallai.graphs import complete
 from gallai.templates import (
@@ -216,13 +219,89 @@ class TestVerifyCover:
         a = verify_cover(fam, 5, 3, c=648000.0, sample_size=200, seed=5)
         b = verify_cover(fam, 5, 3, c=648000.0, sample_size=200, seed=5)
         assert a == b
-        # two-color colorings are always covered, so only the rejection
-        # sampler can find the gap; with enough samples it must
-        wide = verify_cover(fam, 5, 3, c=648000.0, sample_size=2000, seed=1)
-        assert not wide.coverage.passed
+        # two-color colorings are always covered, so only a three-color
+        # draw finds the gap; about half of the Gallai 3-colorings of K5
+        # use three colors
+        assert not a.coverage.passed
+        assert a.mode == "sampled"
+        assert a.three_color_checked == 1
+        assert len(set(a.coverage.witness["coloring"].values())) == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_color_family_fails_at_order_ten(self, seed):
+        # about one in nine Gallai 3-colorings of K10 uses three colors, and
+        # uniform draws meet them that often
+        cert = verify_cover(two_color_family(10), 10, 3, c=648000.0,
+                            sample_size=200, seed=seed)
+        assert not cert.coverage.passed
+        coloring = Coloring(cert.coverage.witness["coloring"], 3)
+        assert is_gallai(complete(10), coloring)
+        assert len(coloring.used_colors()) == 3
+        assert cert.three_color_checked == 1
+
+    def test_certificate_says_how_coverage_was_checked(self):
+        family = two_color_family(4) + [full_template(4, 3)]
+        exhaustive = verify_cover(family, 4, 3, c=648000.0)
+        assert exhaustive.mode == "exhaustive"
+        assert exhaustive.three_color_checked == (
+            count_complete(4, 3) - lower_bound_two_color(4, 3))
+        sampled = verify_cover([full_template(7, 3)], 7, 3, c=648000.0, sample_size=200)
+        assert sampled.mode == "sampled"
+        assert sampled.coverage.checked == 200
+        assert 0 < sampled.three_color_checked < 200
+
+    def test_sampled_order_is_capped(self):
+        with pytest.raises(ResourceLimitError):
+            verify_cover([], 200, 3, c=1.0, sample_size=1)
 
     def test_mismatched_family_rejected(self):
         with pytest.raises(InvalidInputError):
             verify_cover([pair_template(4, 3, 1, 2)], 5, 3, c=1.0)
         with pytest.raises(InvalidInputError):
             verify_cover([pair_template(5, 4, 1, 2)], 5, 3, c=1.0)
+
+
+class TestUniformSampler:
+    """The cover sampler draws uniformly from the Gallai colorings of K_n."""
+
+    def test_primality_test_against_every_vertex_subset(self):
+        def brute_prime(adj):
+            k = len(adj)
+            for module in range(1 << k):
+                if 2 <= module.bit_count() < k and all(
+                        adj[z] & module in (0, module)
+                        for z in range(k) if not module >> z & 1):
+                    return False
+            return True
+
+        for k, primes in [(3, 0), (4, 12), (5, 192)]:
+            found = 0
+            pairs = list(itertools.combinations(range(k), 2))
+            for bits in range(1 << len(pairs)):
+                adj = [0] * k
+                for i, (u, v) in enumerate(pairs):
+                    if bits >> i & 1:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                prime = gallai.counting._is_prime(adj)
+                assert prime == brute_prime(adj)
+                found += prime
+            assert found == primes
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 10, 10**6])
+    def test_every_draw_is_gallai(self, r):
+        for n in range(2, 9):
+            g = complete(n)
+            for colors in sample_complete(n, r, 40, random.Random(n)):
+                assert is_gallai(g, Coloring.from_sequence(g, colors, r))
+                assert r > 2 or len(set(colors)) <= 2
+
+    def test_chi_square_at_order_four(self):
+        # 20 draws per coloring; chi^2 on 278 degrees of freedom has mean 278
+        # and standard deviation 23.6, and the bound is four of them above
+        cells = list(gallai_colorings(complete(4), 3))
+        draws = 20 * len(cells)
+        tally = Counter(sample_complete(4, 3, draws, random.Random(3)))
+        assert set(tally) <= set(cells)
+        chi2 = sum((tally[cell] - 20) ** 2 for cell in cells) / 20
+        assert chi2 < 278 + 4 * 23.6

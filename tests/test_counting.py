@@ -11,10 +11,12 @@ import pytest
 import gallai.counting
 from conftest import assignment_is_gallai, brute_count_gallai, brute_triangles, random_graph
 from gallai.counting import (
+    COMPLETE_BITS,
     EXACT_BOUNDS_LIMIT,
     Coloring,
     asymptotic_bounds,
     book_gallai_count,
+    count_complete,
     count_gallai,
     count_gallai_naive,
     count_gallai_with_palettes,
@@ -72,6 +74,9 @@ FROZEN_COUNTS = [
 # K7 counts of the K_n recurrence from Gallai's decomposition, which the
 # search without star tables reproduces too
 COMPLETE_SEVEN = [(3, 11_813_949), (4, 48_252_160), (5, 160_913_825)]
+# K8 counts of the recurrence; the search reproduces r = 3 in 16 s and r = 4
+# in 84 s, too slow for these tests
+COMPLETE_EIGHT = [(3, 1_212_514_191), (4, 4_274_432_896), (5, 13_893_272_725)]
 
 
 class TestColoring:
@@ -512,6 +517,77 @@ class TestClosedForms:
         assert asymptotic_bounds(n - 1, 3).trivial_lower is not None
 
 
+class TestCompleteRecurrence:
+    """count_complete reads K_n's count off Gallai's decomposition."""
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 10])
+    def test_matches_the_search(self, r):
+        for n in range(1, 7):
+            assert count_complete(n, r) == count_gallai(complete(n), r)
+
+    def test_matches_the_sweep_where_it_fits(self):
+        budget = 1 << 20
+        seen = 0
+        for n in range(1, 6):
+            for r in range(1, 11):
+                if r ** comb(n, 2) <= budget:
+                    assert count_complete(n, r) == count_gallai_naive(
+                        complete(n), r, leaf_budget=budget)
+                    seen += 1
+        assert seen == 44
+
+    @pytest.mark.parametrize("n,r,expected", [(7, *case) for case in COMPLETE_SEVEN]
+                             + [(8, *case) for case in COMPLETE_EIGHT])
+    def test_frozen_seven_and_eight(self, n, r, expected):
+        assert count_complete(n, r) == expected
+
+    def test_prime_quotients_and_one_or_two_colors(self):
+        tables = gallai.counting._decomposition(2).grow(8)
+        assert tables.quotients[:9] == [0, 0, 0, 0, 12, 192, 10800, 970080, 161310240]
+        for n in range(1, 30):
+            assert count_complete(n, 2) == 2 ** comb(n, 2)
+            assert count_complete(n, 1) == 1
+
+    def test_domain_and_cap(self):
+        with pytest.raises(InvalidParameterError):
+            count_complete(0, 3)
+        with pytest.raises(InvalidParameterError):
+            count_complete(3, 0)
+
+    @pytest.mark.parametrize("r", [3, 10**6, 10**400])
+    def test_width_cap(self, r):
+        n = 2
+        while comb(n + 1, 2) + n * r.bit_length() <= COMPLETE_BITS:
+            n += 1
+        assert n == {3: 153, 10**6: 136, 10**400: 9}[r]
+        with pytest.raises(ResourceLimitError):
+            count_complete(n + 1, r)
+        if r == 10**400:
+            assert count_complete(n, r) > r ** (n - 1)
+
+    def test_huge_palette_is_quick(self):
+        r = 10**6
+        start = time.perf_counter()
+        assert count_complete(3, r) == r**3 - r * (r - 1) * (r - 2)
+        assert count_complete(30, r) > comb(r, 2) * 2 ** comb(30, 2)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 10])
+    def test_two_color_floor_is_below_the_count(self, r):
+        assert lower_bound_two_color(1, r) == 1
+        for n in range(1, 41):
+            floor, count = lower_bound_two_color(n, r), count_complete(n, r)
+            assert floor == count if r == 2 else floor <= count
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 10])
+    def test_three_color_share_falls(self, r):
+        # almost every Gallai coloring of a large K_n uses two colors
+        shares = [1 - Fraction(lower_bound_two_color(n, r), count_complete(n, r))
+                  for n in range(9, 41)]
+        assert all(a > b for a, b in zip(shares, shares[1:]))
+        assert shares[-1] < Fraction(1, 2**25)
+
+
 class TestPaletteCounting:
     def test_pair_palettes_give_power_of_two(self):
         g = complete(5)
@@ -624,8 +700,10 @@ class TestMatchingAndDeviation:
         for _ in range(20):
             g = random_graph(rng, 10)
             max_matching_size(g.n, g.edges())
+        # the K_n decomposition tables are the one cache kept on purpose
         held = [name for name, obj in vars(gallai.counting).items()
-                if hasattr(obj, "cache_info") and obj.cache_info().currsize]
+                if hasattr(obj, "cache_info") and name != "_decomposition"
+                and obj.cache_info().currsize]
         assert held == []
 
     def test_s_deviation(self):

@@ -144,6 +144,20 @@ class TestComparisons:
     def test_degenerate_tie(self):
         assert compare_known(2, 3).winner == "tie"
 
+    def test_crossovers(self):
+        # K_n's lead over K_{n/2,n/2} ends first at n = 8 for r = 4 and at
+        # n = 7 for r = 5, and still holds at n = 12 for r = 3
+        def first_bipartite_win(r):
+            return next(n for n in range(2, 40) if compare_known(n, r).winner == "bipartite")
+
+        assert compare_known(8, 4) == KnownComparison(
+            8, 4, 4_274_432_896, 4_294_967_296, "bipartite")
+        assert first_bipartite_win(4) == 8
+        assert first_bipartite_win(5) == 7
+        assert compare_known(12, 3) == KnownComparison(
+            12, 3, 230_278_743_809_297_386_119, 3**36, "complete")
+        assert all(compare_known(n, 3).winner == "complete" for n in range(3, 13))
+
     def test_counts_match_direct_evaluation(self):
         for n, r in [(4, 3), (5, 4), (6, 3)]:
             cmp = compare_known(n, r)
