@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -162,7 +163,7 @@ def _table_json(table: extremal.ExtremalTable) -> dict:
         "rows": [{"g6": row.g6, "edges": row.edges,
                   "count": None if row.count is None else _digits(row.count)}
                  for row in table.rows],
-        "argmax": list(table.argmax_g6),
+        "argmax": list(table.argmax),
         "max_count": None if table.max_count is None else _digits(table.max_count),
     }
 
@@ -376,6 +377,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    code = 0
     try:
         given = load_config(args.config) if args.config else argparse.Namespace()
         for key, (_, _, default) in _SETTINGS.items():
@@ -387,17 +389,25 @@ def main(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
-        if isinstance(exc.partial, extremal.ExtremalTable):
-            print(json.dumps(_table_json(exc.partial), sort_keys=True, allow_nan=False))
-        return 3
+        if not isinstance(exc.partial, extremal.ExtremalTable):
+            return 3
+        code, result = 3, _table_json(exc.partial)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(result, sort_keys=True, allow_nan=False))
-    return 0
+    try:
+        print(json.dumps(result, sort_keys=True, allow_nan=False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the
+        # interpreter's own flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,13 +13,9 @@ from .graphs import all_graphs, graph6_encode
 # unused here, but bench/spans.py traces them through this module by name
 from .graphs import canonical_form, canonical_graph  # noqa: F401
 
-SEARCH_N_SMALL_R = 6
-SEARCH_N_LARGE_R = 5
-
 
 @dataclass(frozen=True)
 class ExtremalRow:
-    canonical: bytes
     g6: str
     edges: int
     count: int | None
@@ -30,18 +26,13 @@ class ExtremalTable:
     n: int
     r: int
     rows: tuple[ExtremalRow, ...]
-    argmax: tuple[bytes, ...]
+    argmax: tuple[str, ...]
     authoritative: bool
 
     @property
     def max_count(self) -> int | None:
         counts = [row.count for row in self.rows if row.count is not None]
         return max(counts, default=None)
-
-    @property
-    def argmax_g6(self) -> tuple[str, ...]:
-        forms = set(self.argmax)
-        return tuple(row.g6 for row in self.rows if row.canonical in forms)
 
 
 class CountCache:
@@ -88,45 +79,38 @@ class CountCache:
             fh.write(json.dumps({"g6": g6, "r": r, "count": str(count)}) + "\n")
 
 
-def _search_limit(r: int) -> int:
-    return SEARCH_N_SMALL_R if r <= 4 else SEARCH_N_LARGE_R
-
-
 def extremal_search(n: int, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET,
                     cache: CountCache | None = None) -> ExtremalTable:
     """Count Gallai r-colorings for every isomorphism class on n vertices.
 
     Rows come in increasing canonical form, as ``all_graphs`` yields them,
-    and the argmax lists every maximizer.  Cache keys are the rows' g6.
+    and the argmax lists the g6 of every maximizer.  Cache keys are the rows'
+    g6.  ``all_graphs`` bounds n and ``node_budget`` bounds each row's count.
     If a row overruns the node budget, the error carries the partial table
     (remaining counts None, flagged non-authoritative).
     """
     if r < 1:
         raise InvalidParameterError("need r >= 1")
-    limit = _search_limit(r)
-    if n > limit:
-        raise ResourceLimitError(
-            f"extremal search with r = {r} is capped at n <= {limit}")
     rows = []
     classes = list(all_graphs(n))
-    for idx, (form, graph) in enumerate(classes):
+    for idx, graph in enumerate(classes):
         g6 = graph6_encode(graph)
         count = cache.get(g6, r) if cache else None
         if count is None:
             try:
                 count = count_gallai(graph, r, node_budget=node_budget)
             except ResourceLimitError as exc:
-                done = rows + [ExtremalRow(f, graph6_encode(g), g.edge_count, None)
-                               for f, g in classes[idx:]]
+                done = rows + [ExtremalRow(graph6_encode(g), g.edge_count, None)
+                               for g in classes[idx:]]
                 partial = ExtremalTable(n, r, tuple(done), (), False)
                 raise ResourceLimitError(
                     f"row {g6} exceeded the node budget", partial=partial,
                     nodes_visited=exc.nodes_visited) from exc
             if cache:
                 cache.put(g6, r, count)
-        rows.append(ExtremalRow(form, g6, graph.edge_count, count))
+        rows.append(ExtremalRow(g6, graph.edge_count, count))
     best = max(row.count for row in rows)
-    argmax = tuple(row.canonical for row in rows if row.count == best)
+    argmax = tuple(row.g6 for row in rows if row.count == best)
     return ExtremalTable(n, r, tuple(rows), argmax, True)
 
 

@@ -360,12 +360,11 @@ def canonical_graph(graph: Graph) -> Graph:
 
 
 def all_graphs(n: int):
-    """One (form, graph) pair per isomorphism class on n vertices, by labeled
-    enumeration with orbit dedup, in increasing order of form.
+    """One graph per isomorphism class on n vertices, by labeled enumeration
+    with orbit dedup, in increasing order of ``canonical_form``.
 
-    Each mask visited first is the minimum of its orbit, so ``form`` equals
-    ``canonical_form(graph)`` and ``graph`` equals ``canonical_graph(graph)``
-    without the n! search either would make."""
+    Each mask visited first is the minimum of its orbit, so every graph
+    equals its ``canonical_graph`` without the n! search that would make."""
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     if n > ALL_GRAPHS_LIMIT:
@@ -382,7 +381,7 @@ def all_graphs(n: int):
         if seen[mask]:
             continue
         seen[weights @ ((mask >> shifts) & 1)] = True
-        yield _mask_to_bytes(mask, m), _mask_to_graph(n, mask, pairs)
+        yield _mask_to_graph(n, mask, pairs)
 
 
 # ---------------------------------------------------------------------------

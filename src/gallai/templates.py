@@ -252,9 +252,9 @@ def product_log_bound(template: Template) -> ProductLogBound:
     """
     n = template.n
     logs = [log2(mask.bit_count()) if mask else 0.0 for mask in template.palettes]
-    edge_sum = sum(logs)
+    edge_sum = sum(logs, 0.0)
     if n < 3:
-        return ProductLogBound(edge_sum, 0.0 if edge_sum == 0.0 else edge_sum)
+        return ProductLogBound(edge_sum, edge_sum)
     tri_sum = 0.0
     for a, b, c in complete(n).triangle_edges():
         tri_sum += logs[a] + logs[b] + logs[c]

@@ -22,8 +22,8 @@ from gallai.counting import (Coloring, book_gallai_count, count_gallai,
                              lower_bound_two_color, red_once_count,
                              scan_colorings)
 from gallai.extremal import extremal_search
-from gallai.graphs import (Graph, all_graphs, canonical_form, complete,
-                           graph_from_name, max_k_partite_edges)
+from gallai.graphs import (Graph, all_graphs, canonical_graph, complete,
+                           graph6_encode, graph_from_name, max_k_partite_edges)
 from gallai.stability import (greedy_book_family, majority_color_check, peel,
                               remove_low_degree, supersaturation_check)
 from gallai.templates import (TALLY_MODES, classify_triangles, count_ga,
@@ -40,7 +40,7 @@ def report(capsys, num, label, ok, detail):
 def small_classes(max_n):
     out = []
     for n in range(1, max_n + 1):
-        out.extend(g for _, g in all_graphs(n))
+        out.extend(all_graphs(n))
     return out
 
 
@@ -143,14 +143,14 @@ def test_criterion_06_extremal_five_vertices(capsys):
     start = time.monotonic()
     table = extremal_search(5, 10)
     elapsed = time.monotonic() - start
-    expected = canonical_form(graph_from_name("K2,3"))
+    expected = graph6_encode(canonical_graph(graph_from_name("K2,3")))
     ok = (table.authoritative
           and table.argmax == (expected,)
-          and table.argmax_g6 == ("DFw",)
+          and table.argmax == ("DFw",)
           and table.max_count == 10**6
           and elapsed < budget)
     report(capsys, 6, "unique 5-vertex maximizer at r=10 is K_{2,3}",
-           ok, f"argmax {table.argmax_g6}, count {table.max_count}, {elapsed:.1f}s")
+           ok, f"argmax {table.argmax}, count {table.max_count}, {elapsed:.1f}s")
 
 
 def test_criterion_07_template_counting(capsys):

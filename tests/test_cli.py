@@ -145,8 +145,22 @@ class TestExtremal:
         assert payload == plain
 
     def test_gate_is_a_budget_error(self, capsys):
-        code, out, err = run(capsys, "extremal", "--n", "7", "--r", "3")
+        code, out, err = run(capsys, "extremal", "--n", "7", "--r", "3",
+                             "--node-budget", "10000")
         assert code == 3
+        assert "budget" in err
+        payload = json.loads(out)
+        assert payload["authoritative"] is False
+        assert len(payload["rows"]) == 1044
+        assert any(row["count"] is None for row in payload["rows"])
+
+    def test_too_many_vertices_to_enumerate_exits_3_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "extremal", "--n", "8", "--r", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "n=8 > 7" in err
+        assert "Traceback" not in err
 
 
 class TestTemplateCommands:
@@ -516,12 +530,16 @@ print(json.dumps({"code": code, "out": out.getvalue(), "numpy": "numpy" in sys.m
 """
 
 
-def fresh_python(code: str, *argv: str) -> str:
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
     src = str(Path(gallai.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def fresh_python(code: str, *argv: str) -> str:
     return subprocess.run([sys.executable, "-c", code, *argv], check=True, timeout=60,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}).stdout
+                          capture_output=True, text=True, env=fresh_env()).stdout
 
 
 class TestColdStart:
@@ -554,6 +572,28 @@ class TestColdStart:
         probe = json.loads(fresh_python(_PROBE, *argv))
         assert probe == {"code": 0, "out": run(capsys, *argv)[1], "numpy": True}
         assert json.loads(probe["out"])["max_count"] == "279"
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run quietly, with the
+    exit code the run had earned."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("count", "K3", "--r", "3"), 0),
+        (("--node-budget", "50", "extremal", "--n", "5", "--r", "3"), 3),
+    ])
+    def test_closed_pipe_keeps_the_exit_code(self, argv, expected):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the run starts, so every write fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gallai.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=60, env=fresh_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestSettings:

@@ -146,7 +146,7 @@ class TestOracleEquivalence:
 
     def test_every_small_class_agrees_with_full_palettes_and_naive(self):
         for n in range(1, 6):
-            for _, g in all_graphs(n):
+            for g in all_graphs(n):
                 m = g.edge_count
                 for r in range(3, 7):
                     count = count_gallai(g, r)

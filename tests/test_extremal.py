@@ -19,6 +19,7 @@ from gallai.graphs import (
     canonical_graph,
     complete,
     complete_bipartite,
+    graph6_decode,
     graph6_encode,
 )
 
@@ -31,18 +32,20 @@ class TestSearch:
         assert table.authoritative
         assert len(table.rows) == 4
         assert table.max_count == 21
-        assert table.argmax == (canonical_form(complete(3)),)
-        assert table.argmax_g6 == ("Bw",)
+        assert table.argmax == ("Bw",)
 
     def test_rows_cover_all_classes_sorted_by_canonical_form(self):
         table = extremal_search(4, 3)
-        assert [row.canonical for row in table.rows] == sorted(
-            canonical_form(g) for _, g in all_graphs(4))
+        forms = [canonical_form(graph6_decode(row.g6)) for row in table.rows]
+        assert forms == sorted(canonical_form(g) for g in all_graphs(4))
+        assert len(set(forms)) == 11
+        assert all(graph6_encode(canonical_graph(graph6_decode(row.g6))) == row.g6
+                   for row in table.rows)
         assert table.max_count == 279
 
     def test_every_row_count_matches_the_scan_oracle(self):
         table = extremal_search(4, 3)
-        for (_, g), row in zip(all_graphs(4), table.rows):
+        for g, row in zip(all_graphs(4), table.rows):
             assert row.count == count_gallai_naive(g, 3)
             assert row.edges == g.edge_count
 
@@ -50,15 +53,25 @@ class TestSearch:
         table = extremal_search(5, 10)
         assert table.authoritative
         assert table.max_count == 10**6
-        assert len(table.argmax) == 1
-        assert table.argmax[0] == canonical_form(complete_bipartite(2, 3))
-        assert table.argmax_g6 == ("DFw",)
+        assert table.argmax == (graph6_encode(canonical_graph(complete_bipartite(2, 3))),)
+        assert table.argmax == ("DFw",)
+
+    @pytest.mark.parametrize("r, argmax, winner", [
+        (5, "E~~w", "complete"),     # K6
+        (10, "EFz_", "bipartite"),   # K3,3
+    ])
+    def test_six_vertices_agree_with_the_closed_forms(self, r, argmax, winner):
+        table = extremal_search(6, r)
+        known = compare_known(6, r)
+        assert table.authoritative
+        assert len(table.rows) == 156
+        assert table.argmax == (argmax,)
+        assert known.winner == winner
+        assert table.max_count == max(known.count_complete, known.count_bipartite)
 
     def test_order_gates(self):
         with pytest.raises(ResourceLimitError):
-            extremal_search(7, 3)
-        with pytest.raises(ResourceLimitError):
-            extremal_search(6, 5)
+            extremal_search(8, 3)
         with pytest.raises(InvalidParameterError):
             extremal_search(4, 0)
 

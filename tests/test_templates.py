@@ -20,6 +20,7 @@ from gallai.templates import (
     is_gallai_template,
     is_subtemplate,
     pair_template,
+    ProductLogBound,
     product_log_bound,
     r_edges,
     rt_count,
@@ -236,6 +237,12 @@ class TestEntropyBound:
             t = random_template(rng, n, 4)
             b = product_log_bound(t)
             assert b.triangle_sum == pytest.approx(b.edge_sum, abs=1e-9)
+
+    def test_under_three_vertices_both_sums_are_the_edge_sum(self):
+        for n in (1, 2):
+            b = product_log_bound(template_with_sizes(n, 4, [4] * (n - 1)))
+            assert b == ProductLogBound(2.0 * (n - 1), 2.0 * (n - 1))
+            assert isinstance(b.edge_sum, float) and isinstance(b.triangle_sum, float)
 
     def test_bounds_the_restricted_count(self):
         rng = random.Random(79)
