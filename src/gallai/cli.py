@@ -61,11 +61,9 @@ def _fraction(text: str) -> Fraction:
 # beats the config file, which beats the default; flag and config line share
 # the parser, so both reject the same values.
 _SETTINGS = {
-    "leaf_budget": ("--leaf-budget", _positive_int, counting.DEFAULT_LEAF_BUDGET),
     "node_budget": ("--node-budget", _positive_int, counting.DEFAULT_NODE_BUDGET),
     "cache_path": ("--cache", str, None),
     "sample_size": ("--sample-size", _positive_int, containers.DEFAULT_SAMPLE_SIZE),
-    "container_c": ("--container-c", _finite_float, containers.DEFAULT_C_CAP),
 }
 
 
@@ -108,6 +106,8 @@ def _digits(count: int) -> str:
 def _template_coloring(template: templates.Template, graph: Graph) -> counting.Coloring:
     """Read a coloring out of a template whose graph edges all have
     single-color palettes."""
+    if graph.n > template.n:
+        raise InvalidInputError("graph order exceeds template order")
     colors = {}
     for u, v in graph.edges():
         mask = template.palette(u, v)
@@ -119,20 +119,11 @@ def _template_coloring(template: templates.Template, graph: Graph) -> counting.C
     return counting.Coloring(colors, template.r)
 
 
-def _edge_key(edge: tuple[int, int]) -> str:
-    return f"{edge[0]}-{edge[1]}"
-
-
 def _witness_json(witness: dict | None) -> dict | None:
-    if witness is None:
-        return None
-    out = {}
-    for key, value in witness.items():
-        if key == "coloring":
-            out[key] = {_edge_key(e): c for e, c in value.items()}
-        else:
-            out[key] = value
-    return out
+    """The witness with a coloring's edge keys written "u-v"."""
+    if witness is None or "coloring" not in witness:
+        return witness
+    return {**witness, "coloring": {f"{u}-{v}": c for (u, v), c in witness["coloring"].items()}}
 
 
 def _report_json(report: containers.PropertyReport) -> dict:
@@ -147,7 +138,7 @@ def _report_json(report: containers.PropertyReport) -> dict:
 def _cmd_count(args) -> dict:
     graph = graph_from_name(args.graph)
     if args.naive:
-        count = counting.count_gallai_naive(graph, args.r, leaf_budget=args.leaf_budget)
+        count = counting.count_gallai_naive(graph, args.r, node_budget=args.node_budget)
     else:
         count = counting.count_gallai(graph, args.r, node_budget=args.node_budget)
     return {"graph": graph6_encode(graph), "n": graph.n, "edges": graph.edge_count,
@@ -170,8 +161,13 @@ def _table_json(table: extremal.ExtremalTable) -> dict:
 
 def _cmd_extremal(args) -> dict:
     cache = extremal.CountCache(args.cache_path) if args.cache_path else None
-    table = extremal.extremal_search(args.n, args.r, node_budget=args.node_budget,
-                                     cache=cache)
+    try:
+        table = extremal.extremal_search(args.n, args.r, node_budget=args.node_budget,
+                                         cache=cache)
+    except ResourceLimitError as exc:
+        if args.csv and exc.partial is not None:
+            extremal.export_csv(exc.partial, args.csv)
+        raise
     if args.csv:
         extremal.export_csv(table, args.csv)
     return _table_json(table)
@@ -269,10 +265,9 @@ def _cmd_verify_cover(args) -> dict:
     if not directory.is_dir():
         raise InvalidInputError(f"{args.dir} is not a directory")
     family = [_load_template(path) for path in sorted(directory.glob("*.tpl"))]
-    c = args.c if args.c is not None else args.container_c
-    certificate = containers.verify_cover(family, args.n, args.r, c,
+    certificate = containers.verify_cover(family, args.n, args.r, args.c,
                                           sample_size=args.sample_size,
-                                          seed=args.seed, leaf_budget=args.leaf_budget)
+                                          seed=args.seed, node_budget=args.node_budget)
     return {"n": args.n, "r": args.r, "family_size": certificate.family_size,
             "passed": certificate.passed,
             "coverage": _report_json(certificate.coverage),
@@ -282,10 +277,9 @@ def _cmd_verify_cover(args) -> dict:
 
 def _cmd_bounds(args) -> dict:
     bounds = counting.asymptotic_bounds(args.n, args.r)
-    exact = args.n <= counting.EXACT_BOUNDS_LIMIT
     return {"n": args.n, "r": args.r,
-            "lower_two_color": (_digits(counting.lower_bound_two_color(args.n, args.r))
-                                if exact else None),
+            "lower_two_color": (None if bounds.trivial_lower is None else
+                                _digits(counting.lower_bound_two_color(args.n, args.r))),
             "lower_two_color_log2": bounds.two_color_log2,
             "lower_simple_log2": bounds.trivial_lower_log2,
             "upper_log2": bounds.main_upper_log2}
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--c", type=_finite_float)
+    p.add_argument("--c", type=_finite_float, default=containers.DEFAULT_C_CAP)
     p.add_argument("--seed", type=int, default=0)
 
     p = add_parser("bounds", _cmd_bounds, help="closed-form bounds for K_n")

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, isqrt, log, log2
 
-from .counting import DEFAULT_LEAF_BUDGET, gallai_colorings, sample_complete
+from .counting import gallai_colorings, sample_complete
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from .graphs import complete, edge_pairs
+from .graphs import DEFAULT_NODE_BUDGET, complete, edge_pairs
 from .templates import Template, rt_count
 
 BUILD_N_LIMIT = 10
 BUILD_R_LIMIT = 6
-# container-constant cap for k = 3: 1000 * (3!)^3 * 3
+# cap on the container constant c for k = 3: 1000 * (3!)^3 * 3
 DEFAULT_C_CAP = 648000.0
 DEFAULT_SAMPLE_SIZE = 10_000
 
@@ -242,11 +242,11 @@ def _covered(palettes: tuple[int, ...], assignment: tuple[int, ...]) -> bool:
 
 def verify_cover(family, n: int, r: int, c: float, *,
                  sample_size: int = DEFAULT_SAMPLE_SIZE, seed: int = 0,
-                 leaf_budget: int = DEFAULT_LEAF_BUDGET) -> CoverCertificate:
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> CoverCertificate:
     """Check the three cover properties for a claimed template family.
 
     Coverage is exhaustive for n <= 4, a sweep of all r^C(n,2) colorings
-    that leaf_budget bounds.  Above that it checks sample_size colorings,
+    that node_budget bounds (one node each).  Above that it checks sample_size colorings,
     each drawn uniformly from the Gallai r-colorings of K_n with Gallai's
     decomposition, so three-color colorings turn up as often as they
     exist; its tables are capped by ``counting.COMPLETE_BITS``.  The
@@ -268,7 +268,7 @@ def verify_cover(family, n: int, r: int, c: float, *,
 
     if n <= 4:
         mode = "exhaustive"
-        colorings = gallai_colorings(complete(n), r, leaf_budget=leaf_budget)
+        colorings = gallai_colorings(complete(n), r, node_budget=node_budget)
     else:
         mode = "sampled"
         colorings = sample_complete(n, r, sample_size, random.Random(seed))

@@ -32,7 +32,6 @@ from math import comb, log2, prod
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from .graphs import DEFAULT_NODE_BUDGET, Graph, edge_pairs
 
-DEFAULT_LEAF_BUDGET = 10**8
 # colorings per array of the full sweep
 _SCAN_CHUNK = 1 << 16
 # stack frames kept free below the recursion limit for the search's callers
@@ -127,17 +126,17 @@ def is_gallai(graph: Graph, coloring: Coloring) -> bool:
 # naive route: full enumeration with vectorized triangle checks
 
 
-def _sweep_size(graph: Graph, r: int, leaf_budget: int) -> int:
-    """r^e(G), the colorings a full sweep walks, once the leaf budget admits them."""
+def _sweep_size(graph: Graph, r: int, node_budget: int) -> int:
+    """r^e(G), the colorings a full sweep walks, once the node budget admits them."""
     if r < 1:
         raise InvalidParameterError("need r >= 1")
     total = r**graph.edge_count
-    if total > leaf_budget:
-        raise ResourceLimitError(f"r^e = {total} colorings exceed the leaf budget {leaf_budget}")
+    if total > node_budget:
+        raise ResourceLimitError(f"r^e = {total} colorings exceed the node budget {node_budget}")
     return total
 
 
-def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDGET):
+def scan_colorings(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET):
     """Sweep all r^e(G) colorings in chunks, in lexicographic order.
 
     Yields (colors, gallai) pairs where ``colors`` is an (N, e) array of
@@ -148,7 +147,7 @@ def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDG
     """
     import numpy as np
 
-    total = _sweep_size(graph, r, leaf_budget)
+    total = _sweep_size(graph, r, node_budget)
     m = graph.edge_count
     triples = graph.triangle_edges()
     dtype = np.min_scalar_type(r)
@@ -165,18 +164,18 @@ def scan_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDG
         yield cols, ok
 
 
-def count_gallai_naive(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> int:
+def count_gallai_naive(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact Gallai coloring count by full enumeration of all r^e(G) colorings."""
-    total = _sweep_size(graph, r, leaf_budget)
+    total = _sweep_size(graph, r, node_budget)
     if not graph.triangles():
         return total
-    return sum(int(ok.sum()) for _, ok in scan_colorings(graph, r, leaf_budget=leaf_budget))
+    return sum(int(ok.sum()) for _, ok in scan_colorings(graph, r, node_budget=node_budget))
 
 
-def gallai_colorings(graph: Graph, r: int, *, leaf_budget: int = DEFAULT_LEAF_BUDGET):
+def gallai_colorings(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET):
     """Yield every Gallai coloring as a 1-based color tuple over graph.edges(),
     in lexicographic order: the flagged rows of :func:`scan_colorings`."""
-    for cols, ok in scan_colorings(graph, r, leaf_budget=leaf_budget):
+    for cols, ok in scan_colorings(graph, r, node_budget=node_budget):
         yield from map(tuple, (cols[ok] + 1).tolist())
 
 

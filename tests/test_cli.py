@@ -95,9 +95,9 @@ class TestCount:
 
     def test_budget_exhaustion(self, capsys):
         code, out, err = run(capsys, "count", "K5", "--r", "3", "--naive",
-                             "--leaf-budget", "10")
+                             "--node-budget", "10")
         assert code == 3
-        assert "budget" in err
+        assert "exceed the node budget 10" in err
 
     def test_component_too_deep_for_the_search_exits_3(self, capsys):
         # K70's 2415 edges form one component, deeper than the recursion limit
@@ -134,6 +134,19 @@ class TestExtremal:
         assert payload["authoritative"] is False
         assert payload["argmax"] == []
         assert any(row["count"] is None for row in payload["rows"])
+
+    def test_csv_after_a_budget_cutoff_keeps_the_partial_table(self, capsys, tmp_path):
+        out_csv = tmp_path / "partial.csv"
+        code, out, err = run(capsys, "--node-budget", "50", "extremal", "--n", "5",
+                             "--r", "3", "--csv", str(out_csv))
+        assert code == 3
+        rows = json.loads(out)["rows"]
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == "g6,edges,count"
+        assert len(lines) == 1 + len(rows) == 35
+        assert any(line.endswith(",") for line in lines[1:])
+        assert lines[1:] == [f"{row['g6']},{row['edges']},{row['count'] or ''}"
+                             for row in rows]
 
     def test_undecodable_cache_line_is_skipped(self, capsys, tmp_path):
         plain = run_json(capsys, "extremal", "--n", "3", "--r", "3")
@@ -218,7 +231,7 @@ class TestFileErrors:
     def test_documented_exit_code(self, capsys, tmp_path, argv, expected):
         tpl, cfg = tmp_path / "latin1.tpl", tmp_path / "latin1.cfg"
         tpl.write_bytes(b"# caf\xe9\n3 3\n0 1 111\n0 2 111\n1 2 111\n")
-        cfg.write_bytes(b"# caf\xe9\nleaf_budget = 10\n")
+        cfg.write_bytes(b"# caf\xe9\nnode_budget = 10\n")
         code, out, err = run(capsys, *(a.format(dir=tmp_path, tpl=tpl, cfg=cfg) for a in argv))
         assert (code, out) == (expected, "")
         assert err.startswith("parse error:" if expected == 4 else "error:")
@@ -272,6 +285,14 @@ class TestStability:
         code, out, err = run(capsys, "stability", "monoedge", "--graph", "K4",
                              "--template", full_template_file)
         assert code == 2
+
+    def test_monoedge_graph_larger_than_template(self, capsys, tmp_path):
+        tpl = tmp_path / "mono3.tpl"
+        tpl.write_text("3 3\n0 1 100\n0 2 100\n1 2 100\n")
+        code, out, err = run(capsys, "stability", "monoedge", "--graph", "K4",
+                             "--template", str(tpl))
+        assert (code, out) == (2, "")
+        assert err == "error: graph order exceeds template order\n"
 
     def test_monoedge_malformed_eps_is_usage_error(self, capsys, tmp_path):
         tpl = tmp_path / "mono4.tpl"
@@ -376,10 +397,10 @@ class TestVerifyCover:
             '"size_bound": {"checked": 3, "passed": true, "witness": null}, '
             '"sparsity": {"checked": 3, "passed": true, "witness": null}}\n')
 
-    def test_leaf_budget_bounds_exhaustive_coverage(self, capsys, tmp_path):
+    def test_node_budget_bounds_exhaustive_coverage(self, capsys, tmp_path):
         fam = tmp_path / "fam4b"
         self.write_pair_family(fam, 4)
-        code, out, err = run(capsys, "--leaf-budget", "10", "verify-cover", str(fam),
+        code, out, err = run(capsys, "--node-budget", "10", "verify-cover", str(fam),
                              "--n", "4", "--r", "3")
         assert (code, out) == (3, "")
         assert "budget exhausted" in err
@@ -391,6 +412,21 @@ class TestVerifyCover:
         payload = run_json(capsys, "verify-cover", str(fam), "--n", "3", "--r", "3",
                            "--c", "648000")
         assert payload["passed"] is True
+
+    def test_c_defaults_to_the_cap(self, capsys, tmp_path):
+        fam = tmp_path / "fam3c"
+        self.write_pair_family(fam, 3)
+        argv = ("verify-cover", str(fam), "--n", "3", "--r", "3")
+        assert run(capsys, *argv) == run(capsys, *argv, "--c", "648000")
+
+    def test_c_flag_sets_the_size_bound(self, capsys, tmp_path):
+        # three templates at n = 3: log2(3) exceeds the size bound at c = 0.1
+        # but not at c = 1
+        fam = tmp_path / "fam3s"
+        self.write_pair_family(fam, 3)
+        argv = ("verify-cover", str(fam), "--n", "3", "--r", "3", "--c")
+        assert run_json(capsys, *argv, "0.1")["size_bound"]["passed"] is False
+        assert run_json(capsys, *argv, "1")["size_bound"]["passed"] is True
 
     def test_missing_directory(self, capsys):
         code, out, err = run(capsys, "verify-cover", "/no/such/dir",
@@ -412,7 +448,7 @@ class TestNonFiniteFloats:
         ("stability", "dichotomy", "--graph", "C5", "--alpha", "nan"),
         ("stability", "dichotomy", "--graph", "C5", "--alpha", "inf"),
         ("verify-cover", ".", "--n", "3", "--r", "3", "--c", "nan"),
-        ("--container-c", "inf", "hypergraph", "audit", "--n", "10", "--r", "3"),
+        ("verify-cover", ".", "--n", "3", "--r", "3", "--c", "inf"),
     ])
     def test_rejected_at_parse_time(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -599,7 +635,7 @@ class TestClosedStdout:
 class TestSettings:
     """Flags and config lines share one value check per setting."""
 
-    @pytest.mark.parametrize("flag", ["--leaf-budget", "--node-budget", "--sample-size"])
+    @pytest.mark.parametrize("flag", ["--node-budget", "--sample-size"])
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_flag_needs_a_positive_integer(self, capsys, flag, value):
         for argv in ((flag, value, "count", "K3", "--r", "3"),
@@ -609,7 +645,7 @@ class TestSettings:
             assert f"argument {flag}: expected a positive integer" in err
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("key", ["leaf_budget", "node_budget", "sample_size"])
+    @pytest.mark.parametrize("key", ["node_budget", "sample_size"])
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_config_value_needs_a_positive_integer(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "run.cfg"
@@ -619,20 +655,40 @@ class TestSettings:
         assert f"config line 3: {key}: expected a positive integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--leaf-budget", "--container-c"])
+    def test_removed_flags_are_unknown(self, capsys, flag):
+        for argv in ((flag, "10", "count", "K3", "--r", "3"),
+                     ("count", "K3", "--r", "3", flag, "10")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "error:" in err
+            assert "Traceback" not in err
+
+    def test_one_node_budget_bounds_the_sweep_and_the_cover(self, capsys, tmp_path):
+        fam = tmp_path / "fam4"
+        fam.mkdir()
+        (fam / "full.tpl").write_text(template_to_text(Template(4, 3, (0b111,) * 6)))
+        for argv in (("count", "K5", "--r", "3", "--naive"),
+                     ("verify-cover", str(fam), "--n", "4", "--r", "3")):
+            assert run_json(capsys, *argv)
+            code, out, err = run(capsys, "--node-budget", "10", *argv)
+            assert (code, out) == (3, "")
+            assert "colorings exceed the node budget 10" in err
+
 
 class TestConfig:
     def test_file_values_apply(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# tuning\nleaf_budget = 10\n")
+        cfg.write_text("# tuning\nnode_budget = 10\n")
         code, out, err = run(capsys, "--config", str(cfg),
                              "count", "K5", "--r", "3", "--naive")
         assert code == 3
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("leaf_budget = 10\n")
+        cfg.write_text("node_budget = 10\n")
         payload = run_json(capsys, "--config", str(cfg), "count", "K5", "--r", "3",
-                           "--naive", "--leaf-budget", "100000000")
+                           "--naive", "--node-budget", "100000000")
         assert payload["count"] == "6129"
 
     def test_node_budget_flag_overrides_config(self, capsys, tmp_path):
@@ -663,25 +719,11 @@ class TestConfig:
         assert run_json(capsys, *argv)["coverage"]["checked"] == 5
         assert run_json(capsys, *argv, "--sample-size", "7")["coverage"]["checked"] == 7
 
-    def test_container_c_flag_overrides_config(self, capsys, tmp_path):
-        # three templates at n = 3: log2(3) exceeds the size bound at c = 0.1
-        # but not at c = 1
-        fam = tmp_path / "fam3"
-        fam.mkdir()
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            (fam / f"pair{i}{j}.tpl").write_text(template_to_text(pair_template(3, 3, i, j)))
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("container_c = 0.1\n")
-        argv = ("--config", str(cfg), "verify-cover", str(fam), "--n", "3", "--r", "3")
-        assert run_json(capsys, *argv)["size_bound"]["passed"] is False
-        payload = run_json(capsys, "--container-c", "1", *argv)
-        assert payload["size_bound"]["passed"] is True
-
     def test_global_flags_accepted_after_subcommand(self, capsys):
         code, out, err = run(capsys, "count", "K5", "--r", "3", "--naive",
-                             "--leaf-budget", "10")
+                             "--node-budget", "10")
         assert code == 3
-        code2, out2, err2 = run(capsys, "--leaf-budget", "10",
+        code2, out2, err2 = run(capsys, "--node-budget", "10",
                                 "count", "K5", "--r", "3", "--naive")
         assert code2 == 3
 
@@ -714,6 +756,15 @@ class TestConfig:
                              "hypergraph", "audit", "--n", "10", "--r", "3")
         assert (code, out) == (2, "")
         assert "error:" in err
+
+    @pytest.mark.parametrize("key", ["leaf_budget", "container_c"])
+    def test_removed_keys_are_unknown(self, capsys, tmp_path, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"# before\n{key} = 10\n")
+        code, out, err = run(capsys, "--config", str(cfg),
+                             "hypergraph", "audit", "--n", "10", "--r", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown config key {key!r} on line 2\n"
 
     def test_missing_config_file(self, capsys):
         code, out, err = run(capsys, "--config", "/no/such.cfg",

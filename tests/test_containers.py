@@ -200,13 +200,13 @@ class TestVerifyCover:
         assert cert.coverage.passed
         assert cert.coverage.checked == sum(1 for _ in gallai_colorings(complete(4), 3))
 
-    def test_exhaustive_coverage_honours_the_leaf_budget(self):
+    def test_exhaustive_coverage_honours_the_node_budget(self):
         with pytest.raises(ResourceLimitError):
-            verify_cover(two_color_family(4), 4, 3, c=648000.0, leaf_budget=10)
+            verify_cover(two_color_family(4), 4, 3, c=648000.0, node_budget=10)
         # the budget bounds all 3^6 colorings, not only the Gallai ones
         with pytest.raises(ResourceLimitError):
-            verify_cover(two_color_family(4), 4, 3, c=648000.0, leaf_budget=3**6 - 1)
-        cert = verify_cover(two_color_family(4), 4, 3, c=648000.0, leaf_budget=3**6)
+            verify_cover(two_color_family(4), 4, 3, c=648000.0, node_budget=3**6 - 1)
+        cert = verify_cover(two_color_family(4), 4, 3, c=648000.0, node_budget=3**6)
         assert cert.coverage.checked == 12
 
     def test_tiny_size_budget_fails_with_witness(self):

@@ -272,9 +272,9 @@ class TestGenerators:
 
     def test_budget_errors(self):
         with pytest.raises(ResourceLimitError):
-            count_gallai_naive(complete(5), 4, leaf_budget=10)
+            count_gallai_naive(complete(5), 4, node_budget=10)
         with pytest.raises(ResourceLimitError):
-            list(gallai_colorings(complete(5), 4, leaf_budget=10))
+            list(gallai_colorings(complete(5), 4, node_budget=10))
         with pytest.raises(ResourceLimitError):
             count_gallai(complete(6), 3, node_budget=50)
 
@@ -532,7 +532,7 @@ class TestCompleteRecurrence:
             for r in range(1, 11):
                 if r ** comb(n, 2) <= budget:
                     assert count_complete(n, r) == count_gallai_naive(
-                        complete(n), r, leaf_budget=budget)
+                        complete(n), r, node_budget=budget)
                     seen += 1
         assert seen == 44
 
