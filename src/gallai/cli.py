@@ -365,9 +365,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unknown_global_flag(argv: list[str]) -> str | None:
+    """The first option before the subcommand that is no global flag.
+    argparse would read its value as the subcommand and report that
+    instead."""
+    valued = {"--config", *(flag for flag, _, _ in _SETTINGS.values())}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-") or token == "-" or token[1:2].isdigit():
+            return None
+        flag = token.partition("=")[0]
+        if flag in valued:
+            if "=" not in token:
+                next(tokens, None)
+        elif flag not in ("-h", "--help"):
+            return token
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        unknown = _unknown_global_flag(argv)
+        if unknown:
+            parser.error(f"unrecognized arguments: {unknown}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

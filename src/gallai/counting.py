@@ -183,24 +183,37 @@ def gallai_colorings(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BU
 # pruned route: backtracking with propagation
 
 
-def _edge_components(m: int, triples) -> list[list[int]]:
-    """Group edges that interact through triangles; singletons are free edges."""
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _edge_triangles(m: int, triples) -> list[list[tuple[int, int]]]:
+    """For each of the m edges, the other two edges of each of its triangles."""
+    tri_of_edge: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for a, b, c in triples:
-        ra, rb, rc = find(a), find(b), find(c)
-        parent[rb] = ra
-        parent[find(rc)] = ra
-    groups: dict[int, list[int]] = {}
-    for e in range(m):
-        groups.setdefault(find(e), []).append(e)
-    return sorted(groups.values(), key=lambda g: g[0])
+        tri_of_edge[a].append((b, c))
+        tri_of_edge[b].append((a, c))
+        tri_of_edge[c].append((a, b))
+    return tri_of_edge
+
+
+def _edge_components(tri_of_edge: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Group edges that interact through triangles, each group sorted and the
+    groups by their first edge; singletons are free edges."""
+    seen = [False] * len(tri_of_edge)
+    groups = []
+    for e in range(len(tri_of_edge)):
+        if seen[e]:
+            continue
+        seen[e] = True
+        group = [e]
+        for x in group:
+            for f, g in tri_of_edge[x]:
+                if not seen[f]:
+                    seen[f] = True
+                    group.append(f)
+                if not seen[g]:
+                    seen[g] = True
+                    group.append(g)
+        group.sort()
+        groups.append(group)
+    return groups
 
 
 class _Memo(dict):
@@ -209,7 +222,6 @@ class _Memo(dict):
     __slots__ = ("build",)
 
     def __init__(self, build):
-        super().__init__()
         self.build = build
 
     def __missing__(self, key):
@@ -218,160 +230,282 @@ class _Memo(dict):
 
 
 class _StarTable:
-    """Truth tables that count the completions of a star suffix in one step.
+    """Truth tables that count the colorings of a star in one step.
 
-    The star edges e_0..e_{s-1} share a vertex v, so two of them, va and vb,
-    share only the triangle vab, whose third edge ab lies in the prefix; every
-    other triangle through a star edge has two prefix edges and has already
-    narrowed its candidates.  Bit j of a row stands for the coloring of the
-    star whose digit i, in the mixed radix of the palette sizes, picks the
-    color of e_i from its palette.  ``doms`` holds (e_i, rows keyed by the
-    candidate mask of e_i) and ``pairs`` holds (ab, rows keyed by the color
-    bit of ab) for every such triangle.  The completions of a colored prefix
-    are the bits set in ``ones`` and in every row that its candidates and
-    colors select.
+    The star edges e_0..e_{s-1} share a vertex v, and bit j of a row stands
+    for the coloring of the star whose digit i, in the mixed radix
+    ``radix`` of the palette sizes, picks color ``choices[i][digit]`` of
+    e_i.  ``rows(i)`` holds, keyed by a color mask, the row of the
+    colorings whose e_i takes a color of the mask; ``doms`` pairs each e_i
+    that the prefix narrows with those rows, to be keyed by its candidates.
+    Two star edges va and vb share only the triangle vab, and ``pair(i,
+    j)`` holds its rows keyed by the color bit of ab: the colorings that
+    leave vab not rainbow.  ``pairs`` lists (ab, rows) for the triangles
+    whose third edge the prefix colors.  The live colorings under a colored
+    prefix are the bits set in ``ones`` and in every row that its
+    candidates and colors select.
 
     A prefix that used the colors below k may give the star new colors only
     in canonical order, the rule the search branches by.  ``fresh[k]`` lists
     the rows M_{k,t}: the colorings whose colors of k and above are exactly
     k..k+t-1, each first used, in star order, after the one below it.  At
-    or past ``width``, past every palette's highest color, no color is new.
-    A row is built the first time it is read.
+    or past ``width``, past every palette's highest color, no color is new
+    and the list is [ones].  Rows are built the first time they are read.
+    A star of no edges has one coloring, ``ones`` = 1.
     """
 
-    __slots__ = ("ones", "doms", "pairs", "fresh", "width")
+    __slots__ = ("ones", "width", "choices", "radix", "single", "doms", "pairs", "fresh")
 
-    def __init__(self, star: list[int], pairs, masks: list[int]):
-        palettes = [masks[e] for e in star]
+    def __init__(self, star: list[int], masks: list[int], narrowed: set[int]):
+        choices = []
         radix = []
         size = 1
-        for palette in palettes:
+        every = 0
+        for e in star:
+            palette = masks[e]
+            every |= palette
+            bits = []
+            while palette:
+                bits.append(palette & -palette)
+                palette &= palette - 1
+            choices.append(bits)
             radix.append(size)
-            size *= palette.bit_count()
+            size *= len(bits)
         ones = (1 << size) - 1
-        width = max(palettes).bit_length()
-        # the colorings whose digit i is 0: a run of radix[i] ones that
-        # repeats once per period of digit i, with no carries
-        first = [((1 << low) - 1) * (ones // ((1 << low * palette.bit_count()) - 1))
-                 for low, palette in zip(radix, palettes)]
+        width = every.bit_length()
+        # single[i] maps each color bit of e_i's palette to the row of the
+        # colorings where e_i takes it: digit i's run of radix[i] ones, which
+        # repeats once per period of the digit
+        single = []
+        for bits, low in zip(choices, radix):
+            run = ((1 << low) - 1) * (ones // ((1 << low * len(bits)) - 1))
+            rows = {}
+            for bit in bits:
+                rows[bit] = run
+                run <<= low
+            single.append(rows)
 
-        def digits(i: int, colors: int) -> int:
-            """Row of the colorings whose digit i picks a color of ``colors``."""
-            palette, low, row = palettes[i], radix[i], first[i]
-            block = 0
-            colors &= palette
-            while colors:
-                bit = colors & -colors
-                colors ^= bit
-                block |= row << ((palette & (bit - 1)).bit_count() * low)
-            return block
-
-        def not_rainbow(i: int, j: int, same: int, color: int) -> int:
-            return same | digits(i, color) | digits(j, color)
+        # below[i][d]: the colorings where e_i takes one of its first d colors
+        below: list[list[int]] = []
 
         def new_colors(k: int) -> list[int]:
-            """M_{k,0}, M_{k,1}, ...: after digit i, rows[t] holds the
+            """M_{k,0}, M_{k,1}, ...: after digit i, found[t] holds the
             colorings whose digits up to i are canonical with t new colors;
             digit i keeps t with a color below k + t or opens color k + t."""
-            rows = [ones]
-            for i in range(len(star)):
-                below = digits(i, (1 << k) - 1)
-                grown = [0] * (len(rows) + 1)
-                for t, row in enumerate(rows):
-                    opened = digits(i, 1 << k + t)
-                    grown[t] |= row & below
+            if k >= width:
+                return [ones]
+            if not below:
+                for rows in single:
+                    runs = [0]
+                    for row in rows.values():
+                        runs.append(runs[-1] | row)
+                    below.append(runs)
+            found = [ones]
+            for e, rows, runs in zip(star, single, below):
+                kept = runs[(masks[e] & ((1 << k) - 1)).bit_count()]
+                grown = [0] * (len(found) + 1)
+                for t, row in enumerate(found):
+                    opened = rows.get(1 << k + t, 0)
+                    grown[t] |= row & kept
                     grown[t + 1] = row & opened
-                    below |= opened
-                rows = grown
+                    kept |= opened
+                found = grown
             # no palette holds a color from width on
-            return rows[:width - k + 1]
+            return found[:width - k + 1]
 
         self.ones = ones
         self.width = width
+        self.choices = choices
+        self.radix = radix
+        self.single = single
+        self.doms = [(e, self.rows(i)) for i, e in enumerate(star) if e in narrowed]
+        self.pairs: list[tuple[int, _Memo]] = []
         self.fresh = _Memo(new_colors)
-        self.doms = [(e, _Memo(functools.partial(digits, i))) for i, e in enumerate(star)]
-        self.pairs = []
-        for i, j, ab in pairs:
-            same = 0
-            shared = palettes[i] & palettes[j]
-            while shared:
-                bit = shared & -shared
-                shared ^= bit
-                same |= digits(i, bit) & digits(j, bit)
-            self.pairs.append((ab, _Memo(functools.partial(not_rainbow, i, j, same))))
+
+    def rows(self, i: int) -> _Memo:
+        """Rows of the colorings whose e_i takes a color of the key mask."""
+        single = self.single[i]
+
+        def digits(colors: int) -> int:
+            block = 0
+            for bit, row in single.items():
+                if colors & bit:
+                    block |= row
+            return block
+
+        return _Memo(digits)
+
+    def pair(self, i: int, j: int) -> _Memo:
+        """Rows of the triangle through star edges i and j, keyed by the color
+        bit of its third edge; the row of equal colors is built on first use."""
+        single_i, single_j = self.single[i], self.single[j]
+        same = []
+
+        def not_rainbow(color: int) -> int:
+            if not same:
+                same.append(0)
+                for bit, row in single_i.items():
+                    if bit in single_j:
+                        same[0] |= row & single_j[bit]
+            return same[0] | single_i.get(color, 0) | single_j.get(color, 0)
+
+        return _Memo(not_rainbow)
 
 
 class _ComponentPlan:
     """Search plan for one triangle-connected component that has a triangle.
 
-    ``order[star_start:]`` is the longest suffix whose edges share a vertex
-    and whose palette sizes multiply to at most ``_STAR_TABLE_BITS``; the
-    search branches on the edges before it and stops at ``star_start``.
-    ``star`` holds the suffix's truth tables, or is None when the suffix is
-    empty because the last edge's palette alone is wider than the table.
-    ``count_gallai`` plans with full palettes of its window's width, so its
-    stars hold up to log_width(_STAR_TABLE_BITS) edges.
+    The search branches on ``order[:leaf_start]``, narrowing by ``narrow``,
+    and ends there in one leaf that counts the last two stars of the order,
+    A = order[leaf_start:star_start] and B = order[star_start:], in one
+    step.  B is the longest suffix whose edges share a vertex and whose
+    palette sizes multiply to at most ``_STAR_TABLE_BITS``.  A grows
+    backwards from B one edge at a time while its edges share a vertex,
+    its palette sizes multiply to at most ``_STAR_TABLE_BITS`` and every
+    triangle through an edge of A and an edge of B has its third edge in A
+    or B.  Either may be empty: B when the last edge's palette alone is
+    wider than a table, A when the edge before B closes a triangle with B
+    and an earlier edge.  ``count_gallai`` plans with full palettes of its
+    window's width, so its stars hold up to log_width(_STAR_TABLE_BITS)
+    edges.
+
+    So no triangle holds a prefix edge, an edge of A and an edge of B, and
+    none holds two edges of A and one of B: when the later of the two A
+    edges joined A, the earlier one still lay before it.  What ties A to B
+    is B's pair rows keyed by the colors of A's edges, which depend on A's
+    coloring j alone; ``cross[j]`` is their AND.  ``star`` holds B's
+    tables.  ``lead`` holds A's, ``cross`` the rows and ``levels[k]`` the
+    new-color rows of both stars at level k: (M_{k,t} of A, [(k + t + u,
+    M_{k+t,u} of B), ...]) for each t.  All three are built the first time
+    a leaf reads them and live as long as the plan: one call.
     """
 
-    __slots__ = ("order", "narrow", "star_start", "star")
+    __slots__ = ("order", "narrow", "leaf_start", "star_start", "star", "lead", "cross",
+                 "levels", "lead_parts")
 
-    def __init__(self, comp: list[int], tri_of_edge: dict[int, list[tuple[int, int]]],
+    def __init__(self, comp: list[int], tri_of_edge: list[list[tuple[int, int]]],
                  ends: list[tuple[int, int]], masks: list[int]):
         # greedy: close as many fully-placed triangles as possible, ties by edge
         # id; an edge's score rises when a placed edge is the second of one of
         # its triangles, and a heap entry is stale once the score has moved on
-        score = dict.fromkeys(comp, 0)
-        heap = [(0, e) for e in sorted(comp)]
-        placed = set()
+        m = len(tri_of_edge)
+        score = [0] * m
+        # comp is sorted, so already a heap
+        heap = [(0, e) for e in comp]
+        placed = [False] * m
         order: list[int] = []
         while heap:
             neg, e = heapq.heappop(heap)
-            if e in placed or -neg != score[e]:
+            if placed[e] or -neg != score[e]:
                 continue
             order.append(e)
-            placed.add(e)
+            placed[e] = True
             for f, g in tri_of_edge[e]:
-                if (f in placed) == (g in placed):
+                if placed[f] == placed[g]:
                     continue
-                third = g if f in placed else f
+                third = f if placed[g] else g
                 score[third] += 1
                 heapq.heappush(heap, (-score[third], third))
-        pos = {e: i for i, e in enumerate(order)}
-        narrow: list[tuple[tuple[int, int], ...]] = []
+        # positions in the order, read only at this component's edges
+        pos = [0] * m
         for i, e in enumerate(order):
+            pos[e] = i
+        # B: the longest suffix whose edges share an end and fit a table
+        common = -1
+        bits = 1
+        star_start = len(order)
+        while star_start:
+            u, v = ends[order[star_start - 1]]
+            common &= 1 << u | 1 << v
+            bits *= masks[order[star_start - 1]].bit_count()
+            if not common or bits > _STAR_TABLE_BITS:
+                break
+            star_start -= 1
+        # A grows edge by edge while its edges share a vertex, fit a table and
+        # close no triangle with an edge of B and an edge before A
+        common = -1
+        bits = 1
+        leaf_start = star_start
+        while leaf_start:
+            i = leaf_start - 1
+            u, v = ends[order[i]]
+            common &= 1 << u | 1 << v
+            bits *= masks[order[i]].bit_count()
+            if not common or bits > _STAR_TABLE_BITS or any(
+                    max(pos[f], pos[g]) >= star_start > i > min(pos[f], pos[g])
+                    for f, g in tri_of_edge[order[i]]):
+                break
+            leaf_start = i
+        # the search narrows only at the positions it branches on
+        narrow: list[tuple[tuple[int, int], ...]] = []
+        narrowed = set()
+        for i, e in enumerate(order[:leaf_start]):
             pairs = []
             for f, g in tri_of_edge[e]:
                 pf, pg = pos[f], pos[g]
                 if pf < i < pg:
                     pairs.append((f, g))
+                    narrowed.add(g)
                 elif pg < i < pf:
                     pairs.append((g, f))
+                    narrowed.add(f)
             narrow.append(tuple(pairs))
         self.order = order
         self.narrow = narrow
-        star_start = len(order)
-        common = set(ends[order[-1]])
-        bits = 1
-        for e in reversed(order):
-            common &= set(ends[e])
-            bits *= masks[e].bit_count()
-            if not common or bits > _STAR_TABLE_BITS:
-                break
-            star_start -= 1
         self.star_start = star_start
-        self.star = None
-        if star_start < len(order):
-            star = order[star_start:]
-            index = {e: i for i, e in enumerate(star)}
-            # the triangles vab through two star edges va, vb, as (i, j, ab)
-            star_pairs = []
-            for i, e in enumerate(star):
+        self.leaf_start = leaf_start
+        star = order[star_start:]
+        lead = order[leaf_start:star_start]
+        self.star = table = _StarTable(star, masks, narrowed)
+
+        def pairs_of(run: list[int], start: int):
+            """(i, j, third edge) for each triangle through edges i < j of a
+            star that starts at ``start``; its third edge comes before both."""
+            for i, e in enumerate(run):
                 for f, g in tri_of_edge[e]:
-                    if index.get(f, -1) > i:
-                        star_pairs.append((i, index[f], g))
-                    elif index.get(g, -1) > i:
-                        star_pairs.append((i, index[g], f))
-            self.star = _StarTable(star, star_pairs, masks)
+                    if pos[g] > pos[f]:
+                        f, g = g, f
+                    if start + i < pos[f] < start + len(run):
+                        yield i, pos[f] - start, g
+
+        # a triangle through two edges of B has its third edge in the prefix
+        # or in A, one through two edges of A in the prefix
+        cross_pairs = []
+        for i, j, ab in pairs_of(star, star_start):
+            if pos[ab] < leaf_start:
+                table.pairs.append((ab, table.pair(i, j)))
+            else:
+                cross_pairs.append((pos[ab] - leaf_start, table.pair(i, j)))
+        self.lead = None
+        self.cross = None
+        self.levels = None
+        self.lead_parts = (lead, list(pairs_of(lead, leaf_start)), cross_pairs, narrowed, masks)
+
+    def build_lead(self) -> _StarTable:
+        """A's tables, the cross rows and the levels, on the first read."""
+        lead_edges, lead_pairs, cross_pairs, narrowed, masks = self.lead_parts
+        lead = _StarTable(lead_edges, masks, narrowed)
+        lead.pairs = [(ab, lead.pair(i, j)) for i, j, ab in lead_pairs]
+        star = self.star
+
+        # B's pair rows keyed by an edge of A, with that edge's digit
+        keyed = [(lead.choices[a], lead.radix[a], rows) for a, rows in cross_pairs]
+
+        def admitted(j: int) -> int:
+            row = star.ones
+            for bits, low, rows in keyed:
+                row &= rows[bits[j // low % len(bits)]]
+            return row
+
+        def level(k: int) -> list[tuple[int, list[tuple[int, int]]]]:
+            return [(head, [(w, row) for w, row in enumerate(star.fresh[t], t) if row])
+                    for t, head in enumerate(lead.fresh[k], k) if head]
+
+        # with no triangle through A and B every coloring of A admits all of B
+        self.cross = _Memo(admitted) if keyed else [star.ones] * lead.ones.bit_length()
+        self.levels = _Memo(level)
+        self.lead = lead
+        return lead
 
 
 def _exhausted(meter: list[int]) -> ResourceLimitError:
@@ -392,14 +526,17 @@ class _Searcher:
     relabel the same coloring.  A palette search starts past the window with
     weight 1, so it sees every candidate as given.
 
-    Every search ends at its plan's ``star_start`` with one leaf: one
-    evaluation of the plan's ``_StarTable`` counts the star's completions
-    under the colored prefix, and those that open t new colors weigh
-    ``weight[k + t]``; past the star's window every completion weighs
-    ``weight[k]``.  A plan without a star has branched on every edge, and
-    its leaf is the one coloring of weight ``weight[k]``.  Every color tried
-    at a branching level and every star evaluation costs one node, and one
-    meter covers every component of the call.
+    Every search ends at its plan's ``leaf_start`` with one leaf that counts
+    the colorings of its two stars under the colored prefix.  From the
+    prefix's candidates and colors it reads L, B's live colorings, and V,
+    A's; the count is the sum over s in V of popcount(L & cross[s]).  Split
+    by new colors, A's rows M_{k,t} pick the s that open t colors and B's
+    rows M_{k+t,u} the completions that open u more, and each (t, u) sum is
+    multiplied once by ``weight[k + t + u]``; past the window both lists
+    are the one row of all colorings.  Every color tried at a branching
+    level costs one node, charged before the colors are tried; a leaf
+    costs one node per s in V that it sums, and at least one, charged once
+    it has summed.  One meter covers every component of the call.
     """
 
     __slots__ = ("plan", "cand", "colors", "meter", "weight")
@@ -426,43 +563,66 @@ class _Searcher:
     def run(self, pos: int, k: int) -> int:
         plan = self.plan
         cand = self.cand
-        if pos == plan.star_start:
-            star = plan.star
-            if star is None:
-                return self.weight[k]
-            meter = self.meter
-            meter[0] -= 1
-            if meter[0] < 0:
-                raise _exhausted(meter)
-            live = star.ones
-            for e, dom in star.doms:
-                live &= dom[cand[e]]
-            colors = self.colors
-            for ab, table in star.pairs:
-                live &= table[colors[ab]]
-            weight = self.weight
-            if k >= star.width:
-                return weight[k] * live.bit_count()
-            total = 0
-            for t, row in enumerate(star.fresh[k], k):
-                total += weight[t] * (live & row).bit_count()
-            return total
         colors = self.colors
         meter = self.meter
+        if pos == plan.leaf_start:
+            star = plan.star
+            tail = star.ones
+            for e, dom in star.doms:
+                tail &= dom[cand[e]]
+            for ab, table in star.pairs:
+                tail &= table[colors[ab]]
+            total = 0
+            nodes = 0
+            if tail:
+                lead = plan.lead or plan.build_lead()
+                live = lead.ones
+                for e, dom in lead.doms:
+                    live &= dom[cand[e]]
+                for ab, table in lead.pairs:
+                    live &= table[colors[ab]]
+                cross = plan.cross
+                weight = self.weight
+                for head, rows in plan.levels[k]:
+                    head &= live
+                    if not head:
+                        continue
+                    low = head & -head
+                    if head == low:
+                        # one coloring of A, so its cross row narrows L itself
+                        nodes += 1
+                        part = tail & cross[low.bit_length() - 1]
+                        for w, row in rows:
+                            total += weight[w] * (part & row).bit_count()
+                        continue
+                    nodes += head.bit_count()
+                    parts = []
+                    while head:
+                        low = head & -head
+                        head ^= low
+                        parts.append(tail & cross[low.bit_length() - 1])
+                    for w, row in rows:
+                        found = 0
+                        for part in parts:
+                            found += (part & row).bit_count()
+                        total += weight[w] * found
+            meter[0] -= nodes or 1
+            if meter[0] < 0:
+                raise _exhausted(meter)
+            return total
         e = plan.order[pos]
         pairs = plan.narrow[pos]
         total = 0
         fresh = 1 << k
         mask = cand[e] & ((fresh << 1) - 1)
+        meter[0] -= mask.bit_count()
+        if meter[0] < 0:
+            raise _exhausted(meter)
         while mask:
             bit = mask & -mask
             mask ^= bit
-            meter[0] -= 1
-            if meter[0] < 0:
-                raise _exhausted(meter)
             colors[e] = bit
             trail = []
-            dead = False
             for f, g in pairs:
                 d = colors[f]
                 if d == bit:
@@ -471,11 +631,10 @@ class _Searcher:
                 new = old & (bit | d)
                 if new != old:
                     if not new:
-                        dead = True
                         break
                     trail.append((g, old))
                     cand[g] = new
-            if not dead:
+            else:
                 total += self.run(pos + 1, k + 1 if bit == fresh else k)
             for g, old in trail:
                 cand[g] = old
@@ -523,21 +682,16 @@ def _search_plans(graph: Graph, masks: list[int]) -> tuple[list[_ComponentPlan],
     """One plan per triangle-connected component that has a triangle, with
     star tables for the palette masks, and the free edges: the edges in no
     triangle, which no plan holds and which multiply out."""
-    m = graph.edge_count
+    m = len(masks)
     # the search recurses once per edge of a component, below its callers;
     # a graph with more edges than that is first refused on a cheap lower
     # bound, before its triangles are listed
     depth_cap = sys.getrecursionlimit() - _CALLER_FRAMES
     if m > depth_cap:
         _check_depth(_component_floor(graph), depth_cap, "at least ")
-    triples = graph.triangle_edges()
-    components = _edge_components(m, triples)
+    tri_of_edge = _edge_triangles(m, graph.triangle_edges())
+    components = _edge_components(tri_of_edge)
     _check_depth(max(map(len, components), default=0), depth_cap)
-    tri_of_edge: dict[int, list[tuple[int, int]]] = {e: [] for e in range(m)}
-    for a, b, c in triples:
-        tri_of_edge[a].append((b, c))
-        tri_of_edge[b].append((a, c))
-        tri_of_edge[c].append((a, b))
     ends = graph.edges()
     plans = [_ComponentPlan(comp, tri_of_edge, ends, masks)
              for comp in components if len(comp) > 1]
@@ -553,11 +707,12 @@ def count_gallai_with_palettes(graph: Graph, palette_masks, *,
     The same search as :func:`count_gallai`, without the new-color window.
     An edge in no triangle is free: it takes no part in the search and
     multiplies the count by its palette size.  Every other component's search
-    ends in one leaf, its star: a suffix of edges at one vertex whose palette
-    sizes multiply to at most ``_STAR_TABLE_BITS``.  Its truth tables are
-    built once per call, and the search counts the star's completions under
-    a colored prefix as the popcount of an AND of table rows, one node per
-    evaluation.  node_budget bounds the search nodes of the whole call.
+    ends in one leaf over its last two stars: runs of edges at one vertex
+    whose palette sizes multiply to at most ``_STAR_TABLE_BITS``.  Their
+    truth tables are built once per call, and the leaf counts the stars'
+    colorings under a colored prefix from ANDs and popcounts of table rows,
+    one node per coloring of the first star that it sums.  node_budget
+    bounds the search nodes of the whole call.
     """
     masks = list(palette_masks)
     m = graph.edge_count
@@ -588,9 +743,9 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
     than min(r, e) colors, and a huge r costs no more than a small one.  An
     edge in no triangle is free: it takes no part in the search and keeps all
     r choices.  As in :func:`count_gallai_with_palettes`, each search ends in
-    one leaf, its star, whose truth tables hold full palettes of min(r, e)
-    colors; one evaluation weighs the star's completions by the new colors
-    each opens.  node_budget bounds the search nodes of the whole call.
+    one leaf over its last two stars, whose truth tables hold full palettes
+    of min(r, e) colors; the leaf weighs the stars' colorings by the new
+    colors they open.  node_budget bounds the search nodes of the whole call.
     """
     if r < 1:
         raise InvalidParameterError("need r >= 1")

@@ -117,8 +117,18 @@ class Graph:
         """Each triangle (a, b, c) of ``triangles()`` as the positions of its
         edges ab, ac, bc in ``edges()``; on ``complete(n)`` these are
         ``edge_index`` slots."""
-        pos = {e: i for i, e in enumerate(self.edges())}
-        return [(pos[(a, b)], pos[(a, c)], pos[(b, c)]) for a, b, c in self.triangles()]
+        adj = self.adj
+        edges = self.edges()
+        pos = {e: i for i, e in enumerate(edges)}
+        out = []
+        for ab, (a, b) in enumerate(edges):
+            common = adj[a] & adj[b] & -(2 << b)
+            while common:
+                bit = common & -common
+                common ^= bit
+                c = bit.bit_length() - 1
+                out.append((ab, pos[(a, c)], pos[(b, c)]))
+        return out
 
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
@@ -376,12 +386,14 @@ def all_graphs(n: int):
     m = len(pairs)
     weights = _relabel_weights(n)
     shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    seen = np.zeros(1 << m, dtype=bool)
-    for mask in range(1 << m):
-        if seen[mask]:
-            continue
-        seen[weights @ ((mask >> shifts) & 1)] = True
+    # the slot past the last mask is never reached and ends the walk
+    unseen = np.ones((1 << m) + 1, dtype=bool)
+    mask = 0
+    while mask < 1 << m:
+        unseen[weights @ ((mask >> shifts) & 1)] = False
         yield _mask_to_graph(n, mask, pairs)
+        # the next class starts at the first mask that no orbit has reached
+        mask += 1 + int(unseen[mask + 1:].argmax())
 
 
 # ---------------------------------------------------------------------------

@@ -657,12 +657,24 @@ class TestSettings:
 
     @pytest.mark.parametrize("flag", ["--leaf-budget", "--container-c"])
     def test_removed_flags_are_unknown(self, capsys, flag):
+        # before the subcommand too, the flag is named, not its value
         for argv in ((flag, "10", "count", "K3", "--r", "3"),
+                     (f"{flag}=10", "count", "K3", "--r", "3"),
+                     ("--node-budget", "5", flag, "10", "count", "K3", "--r", "3"),
                      ("count", "K3", "--r", "3", flag, "10")):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
-            assert "error:" in err
+            assert f"error: unrecognized arguments: {flag}" in err
+            assert "invalid choice" not in err
             assert "Traceback" not in err
+
+    def test_global_flags_before_the_subcommand_still_parse(self, capsys):
+        for argv in (("--node-budget", "100", "count", "K3", "--r", "3"),
+                     ("--node-budget=100", "--sample-size", "5", "count", "K3", "--r", "3")):
+            assert run_json(capsys, *argv)["count"] == "21"
+        code, out, err = run(capsys, "K3", "count")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'K3'" in err
 
     def test_one_node_budget_bounds_the_sweep_and_the_cover(self, capsys, tmp_path):
         fam = tmp_path / "fam4"

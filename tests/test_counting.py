@@ -74,8 +74,9 @@ FROZEN_COUNTS = [
 # K7 counts of the K_n recurrence from Gallai's decomposition, which the
 # search without star tables reproduces too
 COMPLETE_SEVEN = [(3, 11_813_949), (4, 48_252_160), (5, 160_913_825)]
-# K8 counts of the recurrence; the search reproduces r = 3 in 16 s and r = 4
-# in 84 s, too slow for these tests
+# K8 counts of the recurrence; the search reproduces r = 3 in 2.1 s, which a
+# test below checks, and r = 4 in 71 s, too slow for these tests (2-vCPU
+# Xeon VM, Python 3.11.7)
 COMPLETE_EIGHT = [(3, 1_212_514_191), (4, 4_274_432_896), (5, 13_893_272_725)]
 
 
@@ -177,13 +178,12 @@ class TestOracleEquivalence:
             seen["components"] += len(plans) >= 2
             # rows M_{k,t} exist only for levels k below the star's window
             seen["new colors read"] += any(
-                plan.star is not None and any(k < plan.star.width for k in plan.star.fresh)
-                for plan in plans)
+                any(k < plan.star.width for k in plan.star.fresh) for plan in plans)
             with monkeypatch.context() as patch:
                 # no star fits one table bit, so the search branches on every edge
                 patch.setattr(gallai.counting, "_STAR_TABLE_BITS", 1)
                 assert count == count_gallai(g, r)
-                assert all(plan.star is None for plan in plans)
+                assert all(plan.leaf_start == len(plan.order) for plan in plans)
             if r**g.edge_count <= 10**6:
                 assert count == count_gallai_naive(g, r)
                 seen["naive"] += 1
@@ -282,7 +282,7 @@ class TestGenerators:
         # both components end in a star that the tables count
         plans, free = gallai.counting._search_plans(K4_AND_DIAMOND, [0b1111] * 11)
         assert len(plans) == 2 and not free
-        assert all(plan.star is not None for plan in plans)
+        assert all(plan.star_start < len(plan.order) for plan in plans)
 
         def count(graph, budget):
             return count_gallai(graph, 4, node_budget=budget)
@@ -302,13 +302,17 @@ class TestGenerators:
         # both components end in a star that the tables count
         plans, free = gallai.counting._search_plans(K4_AND_DIAMOND, masks[K4_AND_DIAMOND])
         assert len(plans) == 2 and not free
-        assert all(plan.star is not None for plan in plans)
+        assert all(plan.leaf_start < plan.star_start < len(plan.order) for plan in plans)
 
         def count(graph, budget):
             return count_gallai_with_palettes(graph, masks[graph], node_budget=budget)
 
-        # K3's first edge tries 3 colors, and each is one star evaluation
-        assert least_budget(count, complete(3)) == 6
+        # K3's two stars are its first edge and the two edges at its last
+        # vertex, so the search branches on no edge: its one leaf sums each
+        # of the first edge's 3 colorings, one node apiece
+        [plan], _ = gallai.counting._search_plans(complete(3), masks[complete(3)])
+        assert (plan.leaf_start, plan.star_start) == (0, 1)
+        assert least_budget(count, complete(3)) == 3
         need = least_budget(count, complete(4)) + least_budget(count, DIAMOND)
         assert least_budget(count, K4_AND_DIAMOND) == need
         with pytest.raises(ResourceLimitError):
@@ -340,7 +344,10 @@ class TestGenerators:
 
 def reference_plan(comp, tri_of_edge, ends, sizes):
     """The plain greedy: rescore every remaining edge at every step; the star
-    is the longest suffix at one vertex whose palette sizes fit the table."""
+    B is the longest suffix at one vertex whose palette sizes fit the table,
+    and the star A before it grows while it is at one vertex, fits the table
+    and closes no triangle with B and an edge before it.  The search narrows
+    only at the positions before A."""
     placed, order = set(), []
     remaining = sorted(comp)
     while remaining:
@@ -360,13 +367,79 @@ def reference_plan(comp, tri_of_edge, ends, sizes):
                 pairs.append((lo, hi))
         narrow.append(tuple(pairs))
 
-    def star_fits(start):
-        suffix = order[start:]
-        at_one_vertex = not suffix or set.intersection(*(set(ends[e]) for e in suffix))
+    def star_fits(run):
+        at_one_vertex = not run or set.intersection(*(set(ends[e]) for e in run))
         return bool(at_one_vertex) and \
-            prod(sizes[e] for e in suffix) <= gallai.counting._STAR_TABLE_BITS
-    star_start = min(s for s in range(len(order) + 1) if star_fits(s))
-    return order, narrow, star_start
+            prod(sizes[e] for e in run) <= gallai.counting._STAR_TABLE_BITS
+
+    star_start = min(s for s in range(len(order) + 1) if star_fits(order[s:]))
+    star = set(order[star_start:])
+
+    def lead_fits(start):
+        lead = order[start:star_start]
+        closed = all(third in star or third in lead
+                     for e in lead for f, g in tri_of_edge[e]
+                     for other, third in ((f, g), (g, f)) if other in star)
+        return star_fits(lead) and closed
+
+    leaf_start = star_start
+    while leaf_start and lead_fits(leaf_start - 1):
+        leaf_start -= 1
+    return order, narrow[:leaf_start], star_start, leaf_start
+
+
+class TestTwoStarLeaf:
+    def test_agrees_with_naive_and_plain_branching(self, monkeypatch):
+        rng = random.Random(83)
+        seen = {"first star": 0, "cross rows": 0, "components": 0, "naive": 0}
+        for trial in range(150):
+            if trial % 3:
+                g = random_graph(rng, rng.randint(3, 6))
+            else:
+                g = disjoint_union(random_graph(rng, rng.randint(4, 5)),
+                                   random_graph(rng, rng.randint(4, 5)))
+            m = g.edge_count
+            if m == 0:
+                continue
+            r = rng.choice((2, 3, 4))
+            masks = [sum(1 << c for c in rng.sample(range(r), rng.randint(1, r)))
+                     for _ in range(m)]
+            plans, _ = gallai.counting._search_plans(g, masks)
+            seen["first star"] += any(plan.leaf_start < plan.star_start for plan in plans)
+            # B's pair rows keyed by an edge of A
+            seen["cross rows"] += any(plan.lead_parts[2] for plan in plans)
+            seen["components"] += len(plans) >= 2
+            counts = count_gallai(g, r), count_gallai_with_palettes(g, masks)
+            with monkeypatch.context() as patch:
+                # only stars of one-color palettes fit one table bit
+                patch.setattr(gallai.counting, "_STAR_TABLE_BITS", 1)
+                assert counts == (count_gallai(g, r), count_gallai_with_palettes(g, masks))
+            if r**m <= 10**6:
+                assert counts == (count_gallai_naive(g, r), enumerated_palette_count(g, masks))
+                seen["naive"] += 1
+        assert seen["first star"] >= 50
+        assert seen["cross rows"] >= 40
+        assert seen["components"] >= 10
+        assert seen["naive"] >= 100
+
+    def test_third_rule_cuts_the_first_star_short(self):
+        # B is (2, 3) and A is (1, 4).  The edge (1, 3) before A shares its
+        # vertex 1 and fits a table, but its triangle with B's edge (2, 3)
+        # has its third edge (1, 2) in the prefix, so A stops
+        g = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+        ends = g.edges()
+        rng = random.Random(89)
+        for r in (3, 4):
+            [plan], _ = gallai.counting._search_plans(g, [(1 << r) - 1] * 7)
+            assert [ends[e] for e in plan.order] == [
+                (0, 3), (0, 4), (3, 4), (1, 2), (1, 3), (1, 4), (2, 3)]
+            assert (plan.leaf_start, plan.star_start) == (5, 6)
+            assert count_gallai(g, r) == count_gallai_naive(g, r)
+            for _ in range(10):
+                masks = [sum(1 << c for c in rng.sample(range(r), rng.randint(1, r)))
+                         for _ in range(7)]
+                assert count_gallai_with_palettes(g, masks) \
+                    == enumerated_palette_count(g, masks) == branching_palette_count(g, masks)
 
 
 class TestSearchPlan:
@@ -384,6 +457,8 @@ class TestSearchPlan:
             tri_of_edge[bc].append((ab, ac))
         m = len(edges)
 
+        seen = {"leads": 0}
+
         def check(masks):
             sizes = [mask.bit_count() for mask in masks]
             plans, free = gallai.counting._search_plans(graph, masks)
@@ -391,12 +466,14 @@ class TestSearchPlan:
             assert free == [e for e in range(m) if not tri_of_edge[e]]
             assert sorted(free + [e for plan in plans for e in plan.order]) == list(range(m))
             for plan in plans:
-                order, narrow, star_start = reference_plan(
+                order, narrow, star_start, leaf_start = reference_plan(
                     sorted(plan.order), tri_of_edge, edges, sizes)
                 assert plan.order == order
                 assert plan.narrow == narrow
                 assert plan.star_start == star_start
-                assert (plan.star is not None) == (star_start < len(order))
+                assert plan.leaf_start == leaf_start
+                assert len(plan.star.choices) == len(order) - star_start
+                seen["leads"] += leaf_start < star_start
 
         # palettes of 1..8 colors, so some stars are cut short by the table cap
         rng = random.Random(m)
@@ -404,6 +481,8 @@ class TestSearchPlan:
         # count_gallai plans with full palettes of its window's width
         for r in (3, 5, 10**6):
             check([(1 << min(r, m)) - 1] * m)
+        # every graph here with a triangle has a plan whose star A is not empty
+        assert seen["leads"] >= 1 or not graph.triangles()
 
     # K7's last vertex has 6 edges: at r = 5 the table cap keeps 5 of them
     # (5^5 <= 2^12 < 5^6), and at r = 10^6 the width is e = 21, so 2 (21^3 > 2^12)
@@ -411,7 +490,7 @@ class TestSearchPlan:
     def test_count_gallai_star_is_cut_by_the_table_cap(self, r, star_edges):
         [plan], _ = gallai.counting._search_plans(complete(7), [(1 << min(r, 21)) - 1] * 21)
         assert len(plan.order) - plan.star_start == star_edges
-        assert plan.star is not None
+        assert len(plan.star.choices) == star_edges
 
     def test_component_deeper_than_the_stack_is_a_budget_error(self):
         # the search recurses once per edge; K70 has 2415 edges in one component
@@ -438,8 +517,8 @@ class TestSearchPlan:
         graphs = [random_graph(rng, rng.randint(3, 9)) for _ in range(60)]
         graphs += [cycle(6), book(4), complete_bipartite(3, 4), K4_AND_DIAMOND]
         for g in graphs:
-            largest = max(map(len, gallai.counting._edge_components(
-                g.edge_count, g.triangle_edges())), default=0)
+            tri_of_edge = gallai.counting._edge_triangles(g.edge_count, g.triangle_edges())
+            largest = max(map(len, gallai.counting._edge_components(tri_of_edge)), default=0)
             assert gallai.counting._component_floor(g) <= largest
         assert gallai.counting._component_floor(book(4)) == comb(6, 2) - comb(4, 2)
 
@@ -540,6 +619,10 @@ class TestCompleteRecurrence:
                              + [(8, *case) for case in COMPLETE_EIGHT])
     def test_frozen_seven_and_eight(self, n, r, expected):
         assert count_complete(n, r) == expected
+
+    def test_search_reproduces_k8_at_three_colors(self):
+        r, expected = COMPLETE_EIGHT[0]
+        assert count_gallai(complete(8), r) == count_complete(8, r) == expected
 
     def test_prime_quotients_and_one_or_two_colors(self):
         tables = gallai.counting._decomposition(2).grow(8)
@@ -659,7 +742,7 @@ def branching_palette_count(graph, masks):
         # not even a star of one-color palettes fits a table of no bits
         patch.setattr(gallai.counting, "_STAR_TABLE_BITS", 0)
         plans, free = gallai.counting._search_plans(graph, masks)
-    assert all(plan.star is None for plan in plans)
+    assert all(plan.leaf_start == len(plan.order) for plan in plans)
     start = max(masks).bit_length()
     searcher = gallai.counting._Searcher(masks, 10**9, {start: 1})
     return searcher.count(plans, start) * prod(masks[e].bit_count() for e in free)
@@ -672,13 +755,13 @@ def enumerated_palette_count(graph, masks):
 
 
 def narrowed_star(plan, ends):
-    """True when an edge at the star's vertex precedes the star in the plan,
-    so the prefix can narrow the star's candidates."""
+    """True when an edge at the star's vertex precedes both stars in the
+    plan, so the prefix can narrow the star's candidates."""
     star = plan.order[plan.star_start:]
-    if plan.star is None or len(star) < 2:
+    if len(star) < 2:
         return False
     [vertex] = set.intersection(*(set(ends[e]) for e in star))
-    return any(vertex in ends[e] for e in plan.order[:plan.star_start])
+    return any(vertex in ends[e] for e in plan.order[:plan.leaf_start])
 
 
 class TestMatchingAndDeviation:

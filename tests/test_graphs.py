@@ -194,6 +194,25 @@ class TestIsomorphism:
                 forms.append(canonical_form(g))
             assert all(a < b for a, b in zip(forms, forms[1:]))
 
+    def test_all_graphs_matches_the_plain_mask_loop(self):
+        # every mask in increasing order, skipping those an earlier orbit
+        # reached, with each orbit found by relabeling in plain Python
+        for n in range(1, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            m = len(pairs)
+            perms = list(itertools.permutations(range(n)))
+            seen = set()
+            expected = []
+            for mask in range(1 << m):
+                if mask in seen:
+                    continue
+                edges = [pairs[i] for i in range(m) if mask >> (m - 1 - i) & 1]
+                expected.append(Graph.from_edges(n, edges))
+                for perm in perms:
+                    seen.add(sum(1 << (m - 1 - edge_index(n, *sorted((perm[u], perm[v]))))
+                                 for u, v in edges))
+            assert list(all_graphs(n)) == expected
+
     def test_all_graphs_limit(self):
         with pytest.raises(ResourceLimitError):
             list(all_graphs(ALL_GRAPHS_LIMIT + 1))
