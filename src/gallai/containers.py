@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, isqrt, log, log2
 
 from .counting import gallai_colorings, sample_complete
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from .graphs import DEFAULT_NODE_BUDGET, complete, edge_pairs
+from .graphs import DEFAULT_NODE_BUDGET, Record, complete, edge_pairs
 from .templates import Template, rt_count
 
 BUILD_N_LIMIT = 10
@@ -30,8 +29,7 @@ DEFAULT_SAMPLE_SIZE = 10_000
 TAU_CEILING_DENOM = 200 * 36 * 3
 
 
-@dataclass(frozen=True)
-class RainbowHypergraph:
+class RainbowHypergraph(Record):
     """Explicitly materialized H(n, r)."""
 
     n: int
@@ -57,8 +55,7 @@ def build(n: int, r: int) -> RainbowHypergraph:
     return RainbowHypergraph(n, r, vertices, tuple(edges))
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(Record):
     v: int
     e: int
     d: Fraction
@@ -110,8 +107,7 @@ def is_independent(hypergraph: RainbowHypergraph, vertex_subset) -> bool:
 # container parameters
 
 
-@dataclass(frozen=True)
-class ContainerParams:
+class ContainerParams(Record):
     """The (epsilon, tau) choice for H(n, r), with epsilon held symbolically.
 
     epsilon = epsilon_factor * n**epsilon_exponent; tau = sqrt(432 r) / n^(1/3).
@@ -168,8 +164,7 @@ def _delta_ok(n: int, r: int) -> bool:
     return (r - 2) ** 6 * (432 * r) ** 3 * n**4 <= (n - 3) ** 6
 
 
-@dataclass(frozen=True)
-class ParamAudit:
+class ParamAudit(Record):
     n: int
     r: int
     tau_ok: bool
@@ -208,16 +203,14 @@ def audit_params(n: int, r: int) -> ParamAudit:
 # cover certification
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     name: str
     passed: bool
     checked: int
     witness: dict | None
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Record):
     """The three property reports, and how coverage was checked: ``mode`` is
     "exhaustive" or "sampled", and ``three_color_checked`` counts the
     checked colorings that use three colors or more."""

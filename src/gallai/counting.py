@@ -23,14 +23,13 @@ import heapq
 import itertools
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2, prod
 
 # numpy is imported only inside scan_colorings: at module level it would add
 # its start-up time to every CLI run, most of which never use it
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from .graphs import DEFAULT_NODE_BUDGET, Graph, edge_pairs
+from .graphs import DEFAULT_NODE_BUDGET, Graph, Record, edge_pairs
 
 # colorings per array of the full sweep
 _SCAN_CHUNK = 1 << 16
@@ -1052,8 +1051,7 @@ def book_gallai_count(q: int, r: int) -> int:
     return r * (3 * r - 2) ** q
 
 
-@dataclass(frozen=True)
-class AsymptoticBounds:
+class AsymptoticBounds(Record):
     """Two-sided bounds for the Gallai coloring count of K_n, reported in log2.
 
     ``trivial_lower`` is the exact rational up to EXACT_BOUNDS_LIMIT and None
@@ -1134,8 +1132,7 @@ def max_matching_size(n: int, edges) -> int:
     return best((1 << n) - 1)
 
 
-@dataclass(frozen=True)
-class SDeviation:
+class SDeviation(Record):
     """Edges colored outside a fixed pair of colors, and their matching number."""
 
     pair: tuple[int, int]

@@ -4,25 +4,22 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from .counting import DEFAULT_NODE_BUDGET, count_complete, count_gallai
 from .errors import InvalidParameterError, ResourceLimitError
-from .graphs import all_graphs, graph6_encode
+from .graphs import Record, all_graphs, graph6_encode
 # unused here, but bench/spans.py traces them through this module by name
 from .graphs import canonical_form, canonical_graph  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ExtremalRow:
+class ExtremalRow(Record):
     g6: str
     edges: int
     count: int | None
 
 
-@dataclass(frozen=True)
-class ExtremalTable:
+class ExtremalTable(Record):
     n: int
     r: int
     rows: tuple[ExtremalRow, ...]
@@ -43,12 +40,19 @@ class CountCache:
     The cache does not canonicalize; two labelings of one class under
     different keys are two unrelated entries.  Corrupt lines are skipped with a
     warning; the cache never serves data it could not fully parse.
+
+    Each ``put`` opens the file, appends its line and closes it.  Inside
+    ``with cache:`` the puts share one handle instead, opened at the first
+    put and closed when the block ends; every line is still flushed as it is
+    written.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._data: dict[tuple[str, int], int] = {}
         self._loaded = False
+        self._held = False
+        self._out = None
 
     def _load(self) -> None:
         if self._loaded:
@@ -75,8 +79,26 @@ class CountCache:
         if self._data.get((g6, r)) == count:
             return
         self._data[(g6, r)] = count
-        with self.path.open("a") as fh:
-            fh.write(json.dumps({"g6": g6, "r": r, "count": str(count)}) + "\n")
+        line = json.dumps({"g6": g6, "r": r, "count": str(count)}) + "\n"
+        if not self._held:
+            with self.path.open("a") as fh:
+                fh.write(line)
+            return
+        if self._out is None:
+            self._out = self.path.open("a")
+        self._out.write(line)
+        # so that a table cut short keeps every row it counted
+        self._out.flush()
+
+    def __enter__(self) -> "CountCache":
+        self._held = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._held = False
+        if self._out is not None:
+            self._out.close()
+            self._out = None
 
 
 def extremal_search(n: int, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -87,10 +109,18 @@ def extremal_search(n: int, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET,
     and the argmax lists the g6 of every maximizer.  Cache keys are the rows'
     g6.  ``all_graphs`` bounds n and ``node_budget`` bounds each row's count.
     If a row overruns the node budget, the error carries the partial table
-    (remaining counts None, flagged non-authoritative).
+    (remaining counts None, flagged non-authoritative).  The cache's file
+    stays open for the whole table and is closed however the search ends.
     """
     if r < 1:
         raise InvalidParameterError("need r >= 1")
+    if cache is None:
+        return _count_classes(n, r, node_budget, None)
+    with cache:
+        return _count_classes(n, r, node_budget, cache)
+
+
+def _count_classes(n: int, r: int, node_budget: int, cache: CountCache | None) -> ExtremalTable:
     rows = []
     classes = list(all_graphs(n))
     for idx, graph in enumerate(classes):
@@ -114,8 +144,7 @@ def extremal_search(n: int, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET,
     return ExtremalTable(n, r, tuple(rows), argmax, True)
 
 
-@dataclass(frozen=True)
-class KnownComparison:
+class KnownComparison(Record):
     n: int
     r: int
     count_complete: int

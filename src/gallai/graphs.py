@@ -8,8 +8,8 @@ sized for exhaustive work on graphs of at most a dozen or so vertices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, sqrt
+from operator import attrgetter
 
 # numpy is imported only inside _relabel_weights and all_graphs: at module
 # level it would add its start-up time to every CLI run, most of which never use it
@@ -35,14 +35,68 @@ def edge_pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
-@dataclass(frozen=True)
-class Graph:
+class _RecordType(type):
+    """Makes the fields a record class annotates its ``__slots__``, in order,
+    and gives it ``_key``, which reads them all at once.  The annotations are
+    read from the class body, where ``from __future__ import annotations``
+    keeps them as strings."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["__slots__"] = fields
+        if fields:
+            namespace["_key"] = attrgetter(*fields)
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Immutable value with the fields its subclass annotates.
+
+    Construction takes the fields positionally or by name, equality and
+    hashing go by the fields within one class, and assigning a field raises
+    ``AttributeError``.  Each class is built by a plain class statement, with
+    no method generated for it, so that importing the package stays cheap.
+    """
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in fields[len(args):] if name in kwargs])
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({values})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class Graph(Record):
     """Simple undirected graph with bit-vector adjacency rows."""
 
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        super().__init__(n, adj)
         if self.n < 1:
             raise InvalidParameterError("graphs need at least one vertex")
         if len(self.adj) != self.n:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .counting import Coloring, _check_total
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from .graphs import DEFAULT_NODE_BUDGET, Graph, booksize_edge, count_cliques, t_far
+from .graphs import DEFAULT_NODE_BUDGET, Graph, Record, booksize_edge, count_cliques, t_far
 from .templates import Template, r_edges
 
 DICHOTOMY_LIMIT = 12
@@ -35,8 +34,7 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
 # monochromatic majority
 
 
-@dataclass(frozen=True)
-class MajorityReport:
+class MajorityReport(Record):
     mono_triangles: int
     hypothesis_ok: bool
     color: int
@@ -79,8 +77,7 @@ def majority_color_check(graph: Graph, coloring: Coloring, eps) -> MajorityRepor
     return MajorityReport(mono, hypothesis_ok, best, deficit, conclusion_ok, feasible)
 
 
-@dataclass(frozen=True)
-class PaletteMajority:
+class PaletteMajority(Record):
     pair: tuple[int, int]
     count: int
 
@@ -107,8 +104,7 @@ def two_palette_majority(template: Template) -> PaletteMajority:
 # book / bipartite dichotomy
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(Record):
     outcome: str
     book: tuple[tuple[int, int], int] | None
     bipartite: tuple[tuple[int, ...], int] | None
@@ -191,14 +187,12 @@ def dichotomy_search(graph: Graph, alpha) -> DichotomyResult:
 # greedy book family
 
 
-@dataclass(frozen=True)
-class Book:
+class Book(Record):
     base: tuple[int, int]
     pages: frozenset[int]
 
 
-@dataclass(frozen=True)
-class BookFamily:
+class BookFamily(Record):
     books: tuple[Book, ...]
     removed_bases: frozenset[tuple[int, int]]
     residual: Graph
@@ -225,8 +219,7 @@ def greedy_book_family(graph: Graph, threshold: int) -> BookFamily:
 # template-guided peeling
 
 
-@dataclass(frozen=True)
-class PeelStep:
+class PeelStep(Record):
     index: int
     kind: str
     vertices: tuple[int, ...]
@@ -235,8 +228,7 @@ class PeelStep:
     witness: dict
 
 
-@dataclass(frozen=True)
-class PeelTrace:
+class PeelTrace(Record):
     removed: tuple[PeelStep, ...]
     residual: Graph | None
     residual_vertices: tuple[int, ...]
@@ -317,8 +309,7 @@ def peel(graph: Graph, template: Template, xi) -> PeelTrace:
 # low-degree removal
 
 
-@dataclass(frozen=True)
-class RemovalResult:
+class RemovalResult(Record):
     residual: Graph | None
     residual_vertices: tuple[int, ...]
     removed_order: tuple[int, ...]
@@ -360,8 +351,7 @@ def remove_low_degree(graph: Graph, candidates) -> RemovalResult:
 # supersaturation
 
 
-@dataclass(frozen=True)
-class SupersatReport:
+class SupersatReport(Record):
     t_far: bool
     bound: float
     cliques: int

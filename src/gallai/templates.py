@@ -8,25 +8,24 @@ triangles realizable inside P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, log2
 
 from .counting import Coloring, count_gallai_with_palettes, DEFAULT_NODE_BUDGET
 from .errors import InvalidInputError, InvalidParameterError, ParseError
-from .graphs import Graph, complete, content_lines, edge_index, edge_pairs
+from .graphs import Graph, Record, complete, content_lines, edge_index, edge_pairs
 
 MAX_COLORS = 16
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(Record):
     """Palette assignment over all C(n,2) edges of K_n, in edge_index order."""
 
     n: int
     r: int
     palettes: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, n: int, r: int, palettes: tuple[int, ...]):
+        super().__init__(n, r, palettes)
         if self.n < 1:
             raise InvalidParameterError("need n >= 1")
         if not 1 <= self.r <= MAX_COLORS:
@@ -146,8 +145,7 @@ def count_ga(template: Template, graph: Graph, *,
 TALLY_MODES = ("complete", "dense-generic", "dense4")
 
 
-@dataclass(frozen=True)
-class TriangleTally:
+class TriangleTally(Record):
     """Triangle class counts T1..T5 for one classification mode."""
 
     mode: str
@@ -237,8 +235,7 @@ def weight(template: Template, u: int, v: int) -> int:
     return size if size else 1
 
 
-@dataclass(frozen=True)
-class ProductLogBound:
+class ProductLogBound(Record):
     edge_sum: float
     triangle_sum: float
 
@@ -265,8 +262,7 @@ def product_log_bound(template: Template) -> ProductLogBound:
 # wide palettes
 
 
-@dataclass(frozen=True)
-class REdges:
+class REdges(Record):
     """Edges with at least three allowed colors, split by rainbow exposure.
 
     An edge is typical when the number of rainbow triangles through it stays

@@ -579,13 +579,13 @@ def fresh_python(code: str, *argv: str) -> str:
 
 
 class TestColdStart:
-    """numpy loads only for the commands that use it, and the K_n tables
-    are built on first use."""
+    """numpy loads only for the commands that use it, no record class is
+    built by ``dataclasses``, and the K_n tables are built on first use."""
 
     @pytest.mark.parametrize("module", ["gallai", "gallai.cli"])
     def test_import_leaves_numpy_unloaded(self, module):
-        code = f"import sys, {module}; print('numpy' in sys.modules)"
-        assert fresh_python(code).strip() == "False"
+        code = f"import sys, {module}; print('numpy' in sys.modules, 'dataclasses' in sys.modules)"
+        assert fresh_python(code).strip() == "False False"
 
     def test_import_builds_no_decomposition_table(self):
         code = ("import gallai.cli, gallai.counting as c; "

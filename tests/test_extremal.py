@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import warnings
 
 import pytest
 
@@ -128,11 +130,33 @@ class TestCache:
     def test_search_reuses_cached_counts(self, tmp_path):
         path = tmp_path / "counts.jsonl"
         first = extremal_search(4, 4, cache=CountCache(path))
-        lines = sum(1 for _ in open(path))
+        lines = len(path.read_text().splitlines())
         assert lines == len(first.rows)
         second = extremal_search(4, 4, cache=CountCache(path))
         assert first == second
-        assert sum(1 for _ in open(path)) == lines
+        assert len(path.read_text().splitlines()) == lines
+
+    def test_a_table_cut_short_keeps_its_counted_rows(self, tmp_path):
+        path = tmp_path / "counts.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ResourceLimitError) as info:
+                extremal_search(5, 3, node_budget=5, cache=CountCache(path))
+            counted = {row.g6: row.count for row in info.value.partial.rows
+                       if row.count is not None}
+            del info
+            cache = CountCache(path)
+            assert {g6: cache.get(g6, 3) for g6 in counted} == counted
+            with cache:
+                cache.put(K4, 4, 1)
+                # each line is flushed, so a run killed here keeps the row
+                assert CountCache(path).get(K4, 4) == 1
+            cache.put(K4, 5, 1)
+            del cache
+            gc.collect()
+        assert 0 < len(counted) < 34
+        assert len(path.read_text().splitlines()) == len(counted) + 2
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_poisoned_cache_value_is_trusted(self, tmp_path):
         # the cache is an authority by design: a poisoned entry changes results
