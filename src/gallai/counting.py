@@ -166,7 +166,7 @@ def scan_colorings(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDG
 def count_gallai_naive(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact Gallai coloring count by full enumeration of all r^e(G) colorings."""
     total = _sweep_size(graph, r, node_budget)
-    if not graph.triangles():
+    if not graph.triangle_edges():
         return total
     return sum(int(ok.sum()) for _, ok in scan_colorings(graph, r, node_budget=node_budget))
 
@@ -357,30 +357,31 @@ class _ComponentPlan:
     The search branches on ``order[:leaf_start]``, narrowing by ``narrow``,
     and ends there in one leaf that counts the last two stars of the order,
     A = order[leaf_start:star_start] and B = order[star_start:], in one
-    step.  B is the longest suffix whose edges share a vertex and whose
-    palette sizes multiply to at most ``_STAR_TABLE_BITS``.  A grows
-    backwards from B one edge at a time while its edges share a vertex,
-    its palette sizes multiply to at most ``_STAR_TABLE_BITS`` and every
-    triangle through an edge of A and an edge of B has its third edge in A
-    or B.  Either may be empty: B when the last edge's palette alone is
-    wider than a table, A when the edge before B closes a triangle with B
-    and an earlier edge.  ``count_gallai`` plans with full palettes of its
-    window's width, so its stars hold up to log_width(_STAR_TABLE_BITS)
-    edges.
+    step.  One rule grows both stars backwards, B from the end of the order
+    and A from B, one edge at a time: an edge joins while the star's edges
+    share a vertex, their palette sizes multiply to at most
+    ``_STAR_TABLE_BITS`` and no triangle through it has one edge past the
+    star and one before the edge, which holds for every edge of B.  Either
+    star may be empty: B when the last edge's palette alone is wider than a
+    table, A when the edge before B closes a triangle with B and an earlier
+    edge.  ``count_gallai`` plans with full palettes of its window's width,
+    so its stars hold up to log_width(_STAR_TABLE_BITS) edges.
 
     So no triangle holds a prefix edge, an edge of A and an edge of B, and
     none holds two edges of A and one of B: when the later of the two A
     edges joined A, the earlier one still lay before it.  What ties A to B
     is B's pair rows keyed by the colors of A's edges, which depend on A's
-    coloring j alone; ``cross[j]`` is their AND.  ``star`` holds B's
-    tables.  ``lead`` holds A's, ``cross`` the rows and ``levels[k]`` the
-    new-color rows of both stars at level k: (M_{k,t} of A, [(k + t + u,
-    M_{k+t,u} of B), ...]) for each t.  All three are built the first time
-    a leaf reads them and live as long as the plan: one call.
+    coloring j alone; ``cross[j]`` is their AND, all of B when no triangle
+    holds edges of both.  ``star`` holds B's tables, ``lead`` A's, and
+    ``levels[k]`` the new-color rows of both stars at level k: (M_{k,t} of
+    A, [(k + t + u, M_{k+t,u} of B), ...]) for each t.  All are built with
+    the plan; the rows of ``cross``, ``levels`` and the tables are filled
+    in the first time a leaf reads them, and live as long as the plan: one
+    call.
     """
 
     __slots__ = ("order", "narrow", "leaf_start", "star_start", "star", "lead", "cross",
-                 "levels", "lead_parts")
+                 "levels")
 
     def __init__(self, comp: list[int], tri_of_edge: list[list[tuple[int, int]]],
                  ends: list[tuple[int, int]], masks: list[int]):
@@ -409,32 +410,26 @@ class _ComponentPlan:
         pos = [0] * m
         for i, e in enumerate(order):
             pos[e] = i
-        # B: the longest suffix whose edges share an end and fit a table
-        common = -1
-        bits = 1
-        star_start = len(order)
-        while star_start:
-            u, v = ends[order[star_start - 1]]
-            common &= 1 << u | 1 << v
-            bits *= masks[order[star_start - 1]].bit_count()
-            if not common or bits > _STAR_TABLE_BITS:
-                break
-            star_start -= 1
-        # A grows edge by edge while its edges share a vertex, fit a table and
-        # close no triangle with an edge of B and an edge before A
-        common = -1
-        bits = 1
-        leaf_start = star_start
-        while leaf_start:
-            i = leaf_start - 1
-            u, v = ends[order[i]]
-            common &= 1 << u | 1 << v
-            bits *= masks[order[i]].bit_count()
-            if not common or bits > _STAR_TABLE_BITS or any(
-                    max(pos[f], pos[g]) >= star_start > i > min(pos[f], pos[g])
-                    for f, g in tri_of_edge[order[i]]):
-                break
-            leaf_start = i
+
+        def grow(stop: int) -> int:
+            """Start of the star that ends at ``stop``, grown by the rule above."""
+            common = -1
+            bits = 1
+            start = stop
+            while start:
+                i = start - 1
+                u, v = ends[order[i]]
+                common &= 1 << u | 1 << v
+                bits *= masks[order[i]].bit_count()
+                if not common or bits > _STAR_TABLE_BITS or any(
+                        max(pos[f], pos[g]) >= stop > i > min(pos[f], pos[g])
+                        for f, g in tri_of_edge[order[i]]):
+                    break
+                start = i
+            return start
+
+        star_start = grow(len(order))
+        leaf_start = grow(star_start)
         # the search narrows only at the positions it branches on
         narrow: list[tuple[tuple[int, int], ...]] = []
         narrowed = set()
@@ -453,42 +448,31 @@ class _ComponentPlan:
         self.narrow = narrow
         self.star_start = star_start
         self.leaf_start = leaf_start
-        star = order[star_start:]
-        lead = order[leaf_start:star_start]
-        self.star = table = _StarTable(star, masks, narrowed)
+        self.star = star = _StarTable(order[star_start:], masks, narrowed)
+        self.lead = lead = _StarTable(order[leaf_start:star_start], masks, narrowed)
 
-        def pairs_of(run: list[int], start: int):
-            """(i, j, third edge) for each triangle through edges i < j of a
-            star that starts at ``start``; its third edge comes before both."""
-            for i, e in enumerate(run):
-                for f, g in tri_of_edge[e]:
+        def pairs_of(start: int, stop: int):
+            """(i, j, third edge) for each triangle through edges i < j of
+            the star order[start:stop]; its third edge comes before both."""
+            for i in range(start, stop):
+                for f, g in tri_of_edge[order[i]]:
                     if pos[g] > pos[f]:
                         f, g = g, f
-                    if start + i < pos[f] < start + len(run):
-                        yield i, pos[f] - start, g
+                    if i < pos[f] < stop:
+                        yield i - start, pos[f] - start, g
 
         # a triangle through two edges of B has its third edge in the prefix
-        # or in A, one through two edges of A in the prefix
-        cross_pairs = []
-        for i, j, ab in pairs_of(star, star_start):
+        # or in A, where B's pair rows are keyed by that edge's digit; one
+        # through two edges of A has it in the prefix
+        keyed = []
+        for i, j, ab in pairs_of(star_start, len(order)):
+            rows = star.pair(i, j)
             if pos[ab] < leaf_start:
-                table.pairs.append((ab, table.pair(i, j)))
+                star.pairs.append((ab, rows))
             else:
-                cross_pairs.append((pos[ab] - leaf_start, table.pair(i, j)))
-        self.lead = None
-        self.cross = None
-        self.levels = None
-        self.lead_parts = (lead, list(pairs_of(lead, leaf_start)), cross_pairs, narrowed, masks)
-
-    def build_lead(self) -> _StarTable:
-        """A's tables, the cross rows and the levels, on the first read."""
-        lead_edges, lead_pairs, cross_pairs, narrowed, masks = self.lead_parts
-        lead = _StarTable(lead_edges, masks, narrowed)
-        lead.pairs = [(ab, lead.pair(i, j)) for i, j, ab in lead_pairs]
-        star = self.star
-
-        # B's pair rows keyed by an edge of A, with that edge's digit
-        keyed = [(lead.choices[a], lead.radix[a], rows) for a, rows in cross_pairs]
+                a = pos[ab] - leaf_start
+                keyed.append((lead.choices[a], lead.radix[a], rows))
+        lead.pairs = [(ab, lead.pair(i, j)) for i, j, ab in pairs_of(leaf_start, star_start)]
 
         def admitted(j: int) -> int:
             row = star.ones
@@ -500,11 +484,8 @@ class _ComponentPlan:
             return [(head, [(w, row) for w, row in enumerate(star.fresh[t], t) if row])
                     for t, head in enumerate(lead.fresh[k], k) if head]
 
-        # with no triangle through A and B every coloring of A admits all of B
-        self.cross = _Memo(admitted) if keyed else [star.ones] * lead.ones.bit_length()
+        self.cross = _Memo(admitted)
         self.levels = _Memo(level)
-        self.lead = lead
-        return lead
 
 
 def _exhausted(meter: list[int]) -> ResourceLimitError:
@@ -526,8 +507,9 @@ class _Searcher:
     weight 1, so it sees every candidate as given.
 
     Every search ends at its plan's ``leaf_start`` with one leaf that counts
-    the colorings of its two stars under the colored prefix.  From the
-    prefix's candidates and colors it reads L, B's live colorings, and V,
+    the colorings of its two stars under the colored prefix, from the
+    tables the plan was built with.  From the prefix's candidates and
+    colors it reads L, B's live colorings, and, when L is not empty, V,
     A's; the count is the sum over s in V of popcount(L & cross[s]).  Split
     by new colors, A's rows M_{k,t} pick the s that open t colors and B's
     rows M_{k+t,u} the completions that open u more, and each (t, u) sum is
@@ -574,7 +556,7 @@ class _Searcher:
             total = 0
             nodes = 0
             if tail:
-                lead = plan.lead or plan.build_lead()
+                lead = plan.lead
                 live = lead.ones
                 for e, dom in lead.doms:
                     live &= dom[cand[e]]

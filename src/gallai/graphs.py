@@ -155,21 +155,12 @@ class Graph(Record):
 
     def triangles(self) -> list[tuple[int, int, int]]:
         """All triangles (a, b, c) with a < b < c, lexicographically sorted."""
-        out = []
-        for a, b in self.edges():
-            common = self.adj[a] & self.adj[b]
-            common >>= b + 1
-            c = b + 1
-            while common:
-                if common & 1:
-                    out.append((a, b, c))
-                common >>= 1
-                c += 1
-        return out
+        edges = self.edges()
+        return [(*edges[ab], edges[bc][1]) for ab, _, bc in self.triangle_edges()]
 
     def triangle_edges(self) -> list[tuple[int, int, int]]:
-        """Each triangle (a, b, c) of ``triangles()`` as the positions of its
-        edges ab, ac, bc in ``edges()``; on ``complete(n)`` these are
+        """Each triangle a < b < c, in lexicographic order, as the positions
+        of its edges ab, ac, bc in ``edges()``; on ``complete(n)`` these are
         ``edge_index`` slots."""
         adj = self.adj
         edges = self.edges()

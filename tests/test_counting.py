@@ -406,8 +406,10 @@ class TestTwoStarLeaf:
                      for _ in range(m)]
             plans, _ = gallai.counting._search_plans(g, masks)
             seen["first star"] += any(plan.leaf_start < plan.star_start for plan in plans)
-            # B's pair rows keyed by an edge of A
-            seen["cross rows"] += any(plan.lead_parts[2] for plan in plans)
+            # a coloring of A that rules out part of B through B's pair rows
+            seen["cross rows"] += sum(any(plan.cross[s] != plan.star.ones
+                                          for s in range(plan.lead.ones.bit_length()))
+                                      for plan in plans)
             seen["components"] += len(plans) >= 2
             counts = count_gallai(g, r), count_gallai_with_palettes(g, masks)
             with monkeypatch.context() as patch:
@@ -485,12 +487,18 @@ class TestSearchPlan:
         assert seen["leads"] >= 1 or not graph.triangles()
 
     # K7's last vertex has 6 edges: at r = 5 the table cap keeps 5 of them
-    # (5^5 <= 2^12 < 5^6), and at r = 10^6 the width is e = 21, so 2 (21^3 > 2^12)
+    # (5^5 <= 2^12 < 5^6), and at r = 10^6 the width is e = 21, so 2 (21^3 > 2^12).
+    # At r = 3 A is vertex 5's five edges.  At the other two the edge just before
+    # B is vertex 6's (0, 6) or (3, 6), which closes a triangle with an edge of B
+    # and an earlier edge, so A is empty
     @pytest.mark.parametrize("r, star_edges", [(3, 6), (5, 5), (10**6, 2)])
     def test_count_gallai_star_is_cut_by_the_table_cap(self, r, star_edges):
         [plan], _ = gallai.counting._search_plans(complete(7), [(1 << min(r, 21)) - 1] * 21)
         assert len(plan.order) - plan.star_start == star_edges
         assert len(plan.star.choices) == star_edges
+        lead_edges = {3: 5, 5: 0, 10**6: 0}[r]
+        assert plan.star_start - plan.leaf_start == lead_edges
+        assert len(plan.lead.choices) == lead_edges
 
     def test_component_deeper_than_the_stack_is_a_budget_error(self):
         # the search recurses once per edge; K70 has 2415 edges in one component
