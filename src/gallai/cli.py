@@ -6,6 +6,13 @@ Exit codes: 0 success, 2 usage, invalid input or a file that cannot be read,
 Each run setting is declared once, in ``_SETTINGS``: its global flag, the
 parser its flag and config line share, and its default.  Each subcommand
 carries its handler on its own subparser.
+
+Every run is one process that runs one command, and without a bytecode cache
+most of its start-up is compiling this package.  So the module level imports
+only what every command runs (``errors``, ``graphs``, ``counting``), and each
+handler imports ``extremal``, ``templates``, ``containers`` or ``stability``
+when it runs; ``fractions`` and ``decimal`` load only where a value needs
+them.  Annotations that name those modules are strings, never evaluated.
 """
 
 from __future__ import annotations
@@ -15,15 +22,14 @@ import functools
 import json
 import os
 import sys
-from decimal import Decimal
-from fractions import Fraction
 from math import isfinite
 from pathlib import Path
 
-from . import containers, counting, extremal, stability, templates
+from . import counting
 from .errors import (InvalidInputError, InvalidParameterError, ParseError,
                      ResourceLimitError)
-from .graphs import Graph, complete, content_lines, graph_from_name, graph6_encode
+from .graphs import (DEFAULT_C_CAP, DEFAULT_SAMPLE_SIZE, TALLY_MODES, Graph, complete,
+                     content_lines, graph_from_name, graph6_encode)
 
 
 def _positive_int(text: str) -> int:
@@ -51,6 +57,7 @@ def _finite_float(text: str) -> float:
 
 def _fraction(text: str) -> Fraction:
     """Parse an exact rational such as 0.4 or 2/5."""
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -63,7 +70,7 @@ def _fraction(text: str) -> Fraction:
 _SETTINGS = {
     "node_budget": ("--node-budget", _positive_int, counting.DEFAULT_NODE_BUDGET),
     "cache_path": ("--cache", str, None),
-    "sample_size": ("--sample-size", _positive_int, containers.DEFAULT_SAMPLE_SIZE),
+    "sample_size": ("--sample-size", _positive_int, DEFAULT_SAMPLE_SIZE),
 }
 
 
@@ -94,13 +101,18 @@ def load_config(path) -> argparse.Namespace:
 
 
 def _load_template(path) -> templates.Template:
+    from . import templates
     return templates.template_from_text(_read_utf8(path, ParseError))
 
 
 def _digits(count: int) -> str:
     """Decimal digits of an exact count.  str() refuses ints past the
     interpreter's digit limit (4300 by default); Decimal is not bound by it."""
-    return str(Decimal(count))
+    try:
+        return str(count)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(count))
 
 
 def _template_coloring(template: templates.Template, graph: Graph) -> counting.Coloring:
@@ -160,6 +172,7 @@ def _table_json(table: extremal.ExtremalTable) -> dict:
 
 
 def _cmd_extremal(args) -> dict:
+    from . import extremal
     cache = extremal.CountCache(args.cache_path) if args.cache_path else None
     try:
         table = extremal.extremal_search(args.n, args.r, node_budget=args.node_budget,
@@ -174,6 +187,7 @@ def _cmd_extremal(args) -> dict:
 
 
 def _cmd_template(args) -> dict:
+    from . import templates
     template = _load_template(args.file)
     if args.action == "rt":
         return {"n": template.n, "r": template.r, "rt": templates.rt_count(template)}
@@ -187,6 +201,7 @@ def _cmd_template(args) -> dict:
 
 
 def _cmd_hypergraph(args) -> dict:
+    from . import containers
     if args.action == "stats":
         explicit = args.n <= containers.BUILD_N_LIMIT and args.r <= containers.BUILD_R_LIMIT
         if explicit:
@@ -208,6 +223,7 @@ def _cmd_hypergraph(args) -> dict:
 
 
 def _cmd_stability(args) -> dict:
+    from . import stability
     if args.action in ("monoedge", "peel") and not args.template:
         raise InvalidInputError(f"stability {args.action} needs --template")
     graph = graph_from_name(args.graph)
@@ -261,6 +277,7 @@ def _cmd_stability(args) -> dict:
 
 
 def _cmd_verify_cover(args) -> dict:
+    from . import containers
     directory = Path(args.dir)
     if not directory.is_dir():
         raise InvalidInputError(f"{args.dir} is not a directory")
@@ -330,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("template", _cmd_template, help="template statistics")
     p.add_argument("action", choices=["rt", "classify", "count-ga"])
     p.add_argument("file", help="template text file")
-    p.add_argument("--mode", choices=list(templates.TALLY_MODES), default="complete")
+    p.add_argument("--mode", choices=list(TALLY_MODES), default="complete")
     p.add_argument("--graph", help="graph6 or name; defaults to the complete graph")
 
     p = add_parser("hypergraph", _cmd_hypergraph, help="rainbow hypergraph statistics and audit")
@@ -356,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--c", type=_finite_float, default=containers.DEFAULT_C_CAP)
+    p.add_argument("--c", type=_finite_float, default=DEFAULT_C_CAP)
     p.add_argument("--seed", type=int, default=0)
 
     p = add_parser("bounds", _cmd_bounds, help="closed-form bounds for K_n")
@@ -405,7 +422,8 @@ def main(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
-        if not isinstance(exc.partial, extremal.ExtremalTable):
+        # only extremal_search attaches a partial result: its table cut short
+        if exc.partial is None:
             return 3
         code, result = 3, _table_json(exc.partial)
     except ParseError as exc:

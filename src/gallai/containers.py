@@ -16,14 +16,13 @@ from math import comb, exp, isqrt, log, log2
 
 from .counting import gallai_colorings, sample_complete
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from .graphs import DEFAULT_NODE_BUDGET, Record, complete, edge_pairs
+from .graphs import DEFAULT_NODE_BUDGET, DEFAULT_SAMPLE_SIZE, Record, complete, edge_pairs
+# unused here, but still importable under its old name
+from .graphs import DEFAULT_C_CAP  # noqa: F401
 from .templates import Template, rt_count
 
 BUILD_N_LIMIT = 10
 BUILD_R_LIMIT = 6
-# cap on the container constant c for k = 3: 1000 * (3!)^3 * 3
-DEFAULT_C_CAP = 648000.0
-DEFAULT_SAMPLE_SIZE = 10_000
 
 # tau must stay below 1/(200 * (3!)^2 * 3)
 TAU_CEILING_DENOM = 200 * 36 * 3

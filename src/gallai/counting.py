@@ -23,11 +23,11 @@ import heapq
 import itertools
 import random
 import sys
-from fractions import Fraction
 from math import comb, log2, prod
 
-# numpy is imported only inside scan_colorings: at module level it would add
-# its start-up time to every CLI run, most of which never use it
+# numpy is imported only inside scan_colorings, and fractions only inside
+# asymptotic_bounds: at module level they would add their start-up time to
+# every CLI run, most of which never use them
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from .graphs import DEFAULT_NODE_BUDGET, Graph, Record, edge_pairs
 
@@ -1071,6 +1071,7 @@ def asymptotic_bounds(n: int, r: int) -> AsymptoticBounds:
 
     upper_log2 = scaled_log2(n / (4.0 * log2(n) ** 2))
     if n <= EXACT_BOUNDS_LIMIT:
+        from fractions import Fraction
         lower = (Fraction(comb(r, 2)) + Fraction(1, 2**n)) * Fraction(2**m)
         lower_log2 = log2(lower.numerator) - log2(lower.denominator)
         two_color_log2 = log2(lower_bound_two_color(n, r))

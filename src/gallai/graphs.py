@@ -21,6 +21,14 @@ ALL_GRAPHS_LIMIT = 7
 CANONICAL_LIMIT = 8
 # Default bound on the search nodes of one enumeration call.
 DEFAULT_NODE_BUDGET = 10**9
+# The CLI's parser reads the defaults below without loading the modules that
+# use them, so they live here beside the budget.
+# containers: colorings a cover certificate samples, and the cap on the
+# container constant c for k = 3: 1000 * (3!)^3 * 3
+DEFAULT_SAMPLE_SIZE = 10_000
+DEFAULT_C_CAP = 648000.0
+# templates: the triangle classification modes
+TALLY_MODES = ("complete", "dense-generic", "dense4")
 
 
 def edge_index(n: int, u: int, v: int) -> int:

@@ -12,7 +12,8 @@ from math import comb, log2
 
 from .counting import Coloring, count_gallai_with_palettes, DEFAULT_NODE_BUDGET
 from .errors import InvalidInputError, InvalidParameterError, ParseError
-from .graphs import Graph, Record, complete, content_lines, edge_index, edge_pairs
+from .graphs import (TALLY_MODES, Graph, Record, complete, content_lines, edge_index,
+                     edge_pairs)
 
 MAX_COLORS = 16
 
@@ -141,9 +142,6 @@ def count_ga(template: Template, graph: Graph, *,
 
 # ---------------------------------------------------------------------------
 # triangle classification
-
-TALLY_MODES = ("complete", "dense-generic", "dense4")
-
 
 class TriangleTally(Record):
     """Triangle class counts T1..T5 for one classification mode."""

@@ -554,16 +554,21 @@ class TestParserReuse:
         assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0]
 
 
-# Runs main in a fresh interpreter, which has not imported numpy yet (this
-# one has); prints the exit code, stdout and whether numpy got loaded.
+# Runs main in a fresh interpreter, which has not imported numpy or any
+# gallai module yet (this one has); prints the exit code, stdout, whether
+# numpy got loaded and the gallai modules that did.
 _PROBE = """
 import contextlib, io, json, sys
 from gallai.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "out": out.getvalue(), "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "out": out.getvalue(), "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "gallai")}))
 """
+
+# what every command runs, so what ``import gallai.cli`` loads
+_CORE = ("gallai", "gallai.cli", "gallai.counting", "gallai.errors", "gallai.graphs")
 
 
 def fresh_env() -> dict:
@@ -580,7 +585,8 @@ def fresh_python(code: str, *argv: str) -> str:
 
 class TestColdStart:
     """numpy loads only for the commands that use it, no record class is
-    built by ``dataclasses``, and the K_n tables are built on first use."""
+    built by ``dataclasses``, the K_n tables are built on first use, and
+    each command loads only the gallai modules it runs."""
 
     @pytest.mark.parametrize("module", ["gallai", "gallai.cli"])
     def test_import_leaves_numpy_unloaded(self, module):
@@ -601,13 +607,99 @@ class TestColdStart:
     def test_commands_leave_numpy_unloaded(self, capsys, full_template_file, argv):
         argv = [full_template_file if a == "TEMPLATE" else a for a in argv]
         probe = json.loads(fresh_python(_PROBE, *argv))
+        del probe["modules"]
         assert probe == {"code": 0, "out": run(capsys, *argv)[1], "numpy": False}
 
     def test_extremal_loads_numpy_and_prints_the_same_table(self, capsys):
         argv = ["extremal", "--n", "4", "--r", "3"]
         probe = json.loads(fresh_python(_PROBE, *argv))
+        del probe["modules"]
         assert probe == {"code": 0, "out": run(capsys, *argv)[1], "numpy": True}
         assert json.loads(probe["out"])["max_count"] == "279"
+
+    @pytest.mark.parametrize("module, loaded", [("gallai", ["gallai"]), ("gallai.cli", _CORE)])
+    def test_import_loads_no_module_beyond_the_core(self, module, loaded):
+        code = (f"import json, sys, {module}; print(json.dumps(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] in ('gallai', 'fractions', 'decimal'))))")
+        assert json.loads(fresh_python(code)) == list(loaded)
+
+    @pytest.mark.parametrize("argv, extra", [
+        (("count", "K5", "--r", "3"), ()),
+        (("bounds", "--n", "6", "--r", "3"), ()),
+        (("extremal", "--n", "4", "--r", "3"), ("extremal",)),
+        (("template", "rt", "TEMPLATE"), ("templates",)),
+        (("template", "count-ga", "TEMPLATE"), ("templates",)),
+        (("verify-cover", "DIR", "--n", "4", "--r", "3"), ("containers", "templates")),
+        (("hypergraph", "audit", "--n", "10", "--r", "3"), ("containers", "templates")),
+        (("stability", "books", "--graph", "K5"), ("stability", "templates")),
+    ])
+    def test_each_command_loads_only_its_modules(self, capsys, full_template_file, argv,
+                                                 extra):
+        where = {"TEMPLATE": full_template_file, "DIR": str(Path(full_template_file).parent)}
+        argv = [where.get(a, a) for a in argv]
+        probe = json.loads(fresh_python(_PROBE, *argv))
+        assert (probe["code"], probe["out"]) == run(capsys, *argv)[:2]
+        assert probe["code"] == 0
+        assert probe["modules"] == sorted([*_CORE, *(f"gallai.{m}" for m in extra)])
+
+
+# gallai.__all__ as the package exported it when it imported every module eagerly
+_EXPORTED = {
+    "AsymptoticBounds", "Coloring", "GallaiError", "Graph", "InvalidInputError",
+    "InvalidParameterError", "ParseError", "ResourceLimitError", "Template", "TriangleTally",
+    "all_graphs", "asymptotic_bounds", "book", "book_gallai_count", "booksize",
+    "booksize_edge", "canonical_form", "canonical_graph", "classify_triangles", "complete",
+    "complete_bipartite", "count_cliques", "count_complete", "count_ga", "count_gallai",
+    "count_gallai_naive", "count_gallai_with_palettes", "counting", "cycle", "errors",
+    "format_edge_list", "from_coloring", "full_template", "gallai_colorings",
+    "graph6_decode", "graph6_encode", "graph_from_name", "graphs", "is_gallai",
+    "is_gallai_template", "is_subtemplate", "lovasz_triangle_bound", "lower_bound_two_color",
+    "max_k_partite_edges", "max_matching_size", "pair_template", "parse_edge_list",
+    "product_log_bound", "r_edges", "red_once_count", "rt_count", "rt_through_edge",
+    "s_deviation", "t_far", "template_from_text", "template_to_text", "templates", "weight",
+}
+
+
+class TestPackageExports:
+    """The package's names resolve on first use to the objects their
+    modules define, and none of them went missing."""
+
+    def test_names_are_unchanged(self):
+        assert sorted(gallai.__all__) == sorted(_EXPORTED)
+        assert set(dir(gallai)) >= _EXPORTED
+
+    def test_each_name_is_its_modules_object(self):
+        code = """
+import json, sys, gallai
+wrong = []
+for name in gallai.__all__:
+    value = getattr(gallai, name)
+    if isinstance(value, type(sys)):
+        home = value is sys.modules["gallai." + name]
+    else:
+        module = value.__module__
+        home = module.startswith("gallai.") and getattr(sys.modules[module], name) is value
+    if not home or gallai.__dict__[name] is not value:
+        wrong.append(name)
+print(json.dumps(wrong))
+"""
+        assert json.loads(fresh_python(code)) == []
+
+    def test_star_import_binds_every_name(self):
+        code = ("import json, gallai; from gallai import *; "
+                "print(json.dumps(sorted(n for n in gallai.__all__ "
+                "if globals().get(n) is not getattr(gallai, n))))")
+        assert json.loads(fresh_python(code)) == []
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'gallai' has no attribute 'no_such'"):
+            gallai.no_such  # noqa: B018
+
+    def test_submodules_import_from_the_package(self):
+        names = ["cli", "containers", "counting", "extremal", "graphs", "stability", "templates"]
+        code = (f"from gallai import {', '.join(names)}; "
+                f"print(*(m.__name__ for m in ({', '.join(names)})))")
+        assert fresh_python(code).split() == [f"gallai.{name}" for name in names]
 
 
 class TestClosedStdout:
