@@ -4,8 +4,11 @@ Exit codes: 0 success, 2 usage, invalid input or a file that cannot be read,
 3 budget exhausted, 4 unparseable graph or template file.
 
 Each run setting is declared once, in ``_SETTINGS``: its global flag, the
-parser its flag and config line share, and its default.  Each subcommand
-carries its handler on its own subparser.
+parser its flag and config line share, and its default.  One settings parser
+takes the global flags out of argv wherever they stand, before or after the
+subcommand, and the command parser reads what is left into the same
+namespace; no subparser declares a global flag.  Each subcommand carries its
+handler on its own subparser.
 
 Every run is one process that runs one command, and without a bytecode cache
 most of its start-up is compiling this package.  So the module level imports
@@ -29,7 +32,7 @@ from . import counting
 from .errors import (InvalidInputError, InvalidParameterError, ParseError,
                      ResourceLimitError)
 from .graphs import (DEFAULT_C_CAP, DEFAULT_SAMPLE_SIZE, TALLY_MODES, Graph, complete,
-                     content_lines, graph_from_name, graph6_encode)
+                     content_lines, decimal_digits, graph_from_name, graph6_encode)
 
 
 def _positive_int(text: str) -> int:
@@ -105,16 +108,6 @@ def _load_template(path) -> templates.Template:
     return templates.template_from_text(_read_utf8(path, ParseError))
 
 
-def _digits(count: int) -> str:
-    """Decimal digits of an exact count.  str() refuses ints past the
-    interpreter's digit limit (4300 by default); Decimal is not bound by it."""
-    try:
-        return str(count)
-    except ValueError:
-        from decimal import Decimal
-        return str(Decimal(count))
-
-
 def _template_coloring(template: templates.Template, graph: Graph) -> counting.Coloring:
     """Read a coloring out of a template whose graph edges all have
     single-color palettes."""
@@ -155,7 +148,7 @@ def _cmd_count(args) -> dict:
         count = counting.count_gallai(graph, args.r, node_budget=args.node_budget)
     return {"graph": graph6_encode(graph), "n": graph.n, "edges": graph.edge_count,
             "r": args.r, "method": "naive" if args.naive else "pruned",
-            "count": _digits(count)}
+            "count": decimal_digits(count)}
 
 
 def _table_json(table: extremal.ExtremalTable) -> dict:
@@ -164,10 +157,10 @@ def _table_json(table: extremal.ExtremalTable) -> dict:
         "r": table.r,
         "authoritative": table.authoritative,
         "rows": [{"g6": row.g6, "edges": row.edges,
-                  "count": None if row.count is None else _digits(row.count)}
+                  "count": None if row.count is None else decimal_digits(row.count)}
                  for row in table.rows],
         "argmax": list(table.argmax),
-        "max_count": None if table.max_count is None else _digits(table.max_count),
+        "max_count": None if table.max_count is None else decimal_digits(table.max_count),
     }
 
 
@@ -197,7 +190,7 @@ def _cmd_template(args) -> dict:
     graph = graph_from_name(args.graph) if args.graph else complete(template.n)
     count = templates.count_ga(template, graph, node_budget=args.node_budget)
     return {"n": template.n, "r": template.r, "graph": graph6_encode(graph),
-            "count": _digits(count)}
+            "count": decimal_digits(count)}
 
 
 def _cmd_hypergraph(args) -> dict:
@@ -208,6 +201,14 @@ def _cmd_hypergraph(args) -> dict:
             stats = containers.degree_stats(containers.build(args.n, args.r))
         else:
             stats = containers.closed_form_stats(args.n, args.r)
+        try:
+            # e is the largest integer printed; json.dumps, like str(), has
+            # no digits for an int past the interpreter's limit
+            str(stats.e)
+        except ValueError:
+            raise InvalidParameterError(
+                "n and r are too large: the edge count e has more digits than the interpreter "
+                "prints") from None
         d = stats.d
         return {"n": args.n, "r": args.r, "v": stats.v, "e": stats.e,
                 "d": int(d) if d.denominator == 1 else float(d),
@@ -296,7 +297,7 @@ def _cmd_bounds(args) -> dict:
     bounds = counting.asymptotic_bounds(args.n, args.r)
     return {"n": args.n, "r": args.r,
             "lower_two_color": (None if bounds.trivial_lower is None else
-                                _digits(counting.lower_bound_two_color(args.n, args.r))),
+                                decimal_digits(counting.lower_bound_two_color(args.n, args.r))),
             "lower_two_color_log2": bounds.two_color_log2,
             "lower_simple_log2": bounds.trivial_lower_log2,
             "upper_log2": bounds.main_upper_log2}
@@ -306,30 +307,24 @@ def _cmd_bounds(args) -> dict:
 # parser
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, *, subcommand: bool) -> None:
-    # on subparsers the defaults are suppressed so an absent flag never
-    # clobbers a value the root parser already placed in the namespace; on
-    # the root an absent setting stays None until main() fills it in
-    d = argparse.SUPPRESS if subcommand else None
-    parser.add_argument("--config", default=d, help="flat key=value configuration file")
-    for key, (flag, parse, _) in _SETTINGS.items():
-        parser.add_argument(flag, dest=key, type=parse, default=d)
-
-
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it, so
-    repeated ``main`` calls in one process parse without rebuilding it."""
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The settings parser, which reads the global flags wherever they stand,
+    and the command parser; built on the first call and shared after it, so
+    repeated ``main`` calls in one process parse without rebuilding them."""
     # allow_abbrev off so the global flags never swallow subcommand options
     # that share a prefix (verify-cover's --c starts several global flags)
-    parser = argparse.ArgumentParser(prog="gallai", allow_abbrev=False,
+    settings = argparse.ArgumentParser(prog="gallai", add_help=False, allow_abbrev=False)
+    settings.add_argument("--config", help="flat key=value configuration file")
+    for key, (flag, parse, _) in _SETTINGS.items():
+        settings.add_argument(flag, dest=key, type=parse)
+    # the settings as parents only so that ``gallai -h`` lists them
+    parser = argparse.ArgumentParser(prog="gallai", allow_abbrev=False, parents=[settings],
                                      description="rainbow-triangle-free coloring lab")
-    _add_global_flags(parser, subcommand=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, handler, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False, **kwargs)
-        _add_global_flags(p, subcommand=True)
         p.set_defaults(handler=handler)
         return p
 
@@ -379,35 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("bounds", _cmd_bounds, help="closed-form bounds for K_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    return parser
-
-
-def _unknown_global_flag(argv: list[str]) -> str | None:
-    """The first option before the subcommand that is no global flag.
-    argparse would read its value as the subcommand and report that
-    instead."""
-    valued = {"--config", *(flag for flag, _, _ in _SETTINGS.values())}
-    tokens = iter(argv)
-    for token in tokens:
-        if not token.startswith("-") or token == "-" or token[1:2].isdigit():
-            return None
-        flag = token.partition("=")[0]
-        if flag in valued:
-            if "=" not in token:
-                next(tokens, None)
-        elif flag not in ("-h", "--help"):
-            return token
-    return None
+    return settings, parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    settings, parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        unknown = _unknown_global_flag(argv)
-        if unknown:
-            parser.error(f"unrecognized arguments: {unknown}")
-        args = parser.parse_args(argv)
+        flags, rest = settings.parse_known_args(argv)
+        # with every global flag taken out, an option in front of the
+        # subcommand is unknown; argparse would report its value as an
+        # invalid subcommand instead
+        first = rest[0] if rest else ""
+        if (first.startswith("-") and first != "-" and not first[1:2].isdigit()
+                and first.partition("=")[0] not in ("-h", "--help")):
+            parser.error(f"unrecognized arguments: {first}")
+        args = parser.parse_args(rest, namespace=flags)
     except SystemExit as exc:
         return int(exc.code or 0)
     code = 0

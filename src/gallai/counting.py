@@ -126,13 +126,21 @@ def is_gallai(graph: Graph, coloring: Coloring) -> bool:
 
 
 def _sweep_size(graph: Graph, r: int, node_budget: int) -> int:
-    """r^e(G), the colorings a full sweep walks, once the node budget admits them."""
+    """r^e(G), the colorings a full sweep walks, once the node budget admits them.
+
+    r^e is at least 2^((bits of r - 1)·e), so a sweep whose floor has as many
+    bits as the budget is refused before the power is built: a huge r would
+    spend seconds on it.  The refusal names r and e by size, since the digits
+    of r^e may be past what str() prints."""
     if r < 1:
         raise InvalidParameterError("need r >= 1")
-    total = r**graph.edge_count
-    if total > node_budget:
-        raise ResourceLimitError(f"r^e = {total} colorings exceed the node budget {node_budget}")
-    return total
+    e = graph.edge_count
+    if (r.bit_length() - 1) * e < node_budget.bit_length():
+        total = r**e
+        if total <= node_budget:
+            return total
+    raise ResourceLimitError(f"r^e colorings exceed the node budget {node_budget} "
+                             f"(e = {e} edges, r of {r.bit_length()} bits)")
 
 
 def scan_colorings(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -622,12 +630,13 @@ class _Searcher:
         return total
 
 
-def _component_floor(graph: Graph) -> int:
+def _component_floor(graph: Graph, cap: int) -> int:
     """A lower bound on the edges of the largest triangle-connected component,
     found without listing triangles.  For a vertex v and a connected piece P
     of the graph its neighbourhood induces, the edges from v to P and the
     edges inside P lie in one component: an edge pq inside P closes the
-    triangle vpq.  On K_n the bound is exact."""
+    triangle vpq.  On K_n the bound is exact.  The first piece with more than
+    ``cap`` edges is returned at once, since it already decides a refusal."""
     adj = graph.adj
     best = 0
     for v in range(graph.n):
@@ -648,7 +657,10 @@ def _component_floor(graph: Graph) -> int:
                 frontier = grown & ~piece
                 piece |= frontier
             rest &= ~piece
-            best = max(best, piece.bit_count() + ends // 2)
+            edges = piece.bit_count() + ends // 2
+            if edges > cap:
+                return edges
+            best = max(best, edges)
     return best
 
 
@@ -669,7 +681,7 @@ def _search_plans(graph: Graph, masks: list[int]) -> tuple[list[_ComponentPlan],
     # bound, before its triangles are listed
     depth_cap = sys.getrecursionlimit() - _CALLER_FRAMES
     if m > depth_cap:
-        _check_depth(_component_floor(graph), depth_cap, "at least ")
+        _check_depth(_component_floor(graph, depth_cap), depth_cap, "at least ")
     tri_of_edge = _edge_triangles(m, graph.triangle_edges())
     components = _edge_components(tri_of_edge)
     _check_depth(max(map(len, components), default=0), depth_cap)

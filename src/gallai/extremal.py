@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .counting import DEFAULT_NODE_BUDGET, count_complete, count_gallai
 from .errors import InvalidParameterError, ResourceLimitError
-from .graphs import Record, all_graphs, graph6_encode
+from .graphs import Record, all_graphs, decimal_digits, graph6_encode, parse_digits
 # unused here, but bench/spans.py traces them through this module by name
 from .graphs import canonical_form, canonical_graph  # noqa: F401
 
@@ -65,8 +65,11 @@ class CountCache:
                 continue
             try:
                 obj = json.loads(line.decode("utf-8"))
-                key = (str(obj["g6"]), int(obj["r"]))
-                self._data[key] = int(obj["count"])
+                r, count = obj["r"], obj["count"]
+                # only what put writes: an int r and the count's digits
+                if type(r) is not int or not isinstance(count, str):
+                    raise TypeError
+                self._data[(str(obj["g6"]), r)] = parse_digits(count)
             except (ValueError, KeyError, TypeError):  # UnicodeDecodeError is a ValueError
                 warnings.warn(f"skipping corrupt cache line {lineno} in {self.path}")
 
@@ -79,7 +82,7 @@ class CountCache:
         if self._data.get((g6, r)) == count:
             return
         self._data[(g6, r)] = count
-        line = json.dumps({"g6": g6, "r": r, "count": str(count)}) + "\n"
+        line = json.dumps({"g6": g6, "r": r, "count": decimal_digits(count)}) + "\n"
         if not self._held:
             with self.path.open("a") as fh:
                 fh.write(line)
@@ -167,6 +170,6 @@ def compare_known(n: int, r: int) -> KnownComparison:
 def export_csv(table: ExtremalTable, path) -> None:
     lines = ["g6,edges,count"]
     for row in table.rows:
-        count = "" if row.count is None else str(row.count)
+        count = "" if row.count is None else decimal_digits(row.count)
         lines.append(f"{row.g6},{row.edges},{count}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -31,6 +31,29 @@ DEFAULT_C_CAP = 648000.0
 TALLY_MODES = ("complete", "dense-generic", "dense4")
 
 
+def decimal_digits(value: int) -> str:
+    """Decimal digits of an exact integer.  str() refuses ints past the
+    interpreter's digit limit (4300 by default); Decimal is not bound by it."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(value))
+
+
+def parse_digits(text: str) -> int:
+    """The count that a string of ASCII decimal digits spells, the inverse of
+    :func:`decimal_digits` on counts, past the digit limit too; anything else
+    (a sign, spaces, underscores, other scripts' digits) is a ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a string of decimal digits: {text[:20]!r}")
+    try:
+        return int(text)
+    except ValueError:
+        from decimal import Decimal
+        return int(Decimal(text))
+
+
 def edge_index(n: int, u: int, v: int) -> int:
     """Position of the pair (u, v), u < v, in lexicographic order over [n]."""
     if not 0 <= u < v < n:

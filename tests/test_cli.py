@@ -874,3 +874,77 @@ class TestConfig:
         code, out, err = run(capsys, "--config", "/no/such.cfg",
                              "count", "K5", "--r", "3")
         assert code == 2
+
+
+class TestGlobalFlagPlacement:
+    """One settings parser takes the global flags out of argv wherever they
+    stand; the rest goes to the subcommand."""
+
+    def test_between_a_positional_and_the_options(self, capsys):
+        code, out, err = run(capsys, "count", "K5", "--node-budget", "10", "--r", "3", "--naive")
+        assert (code, out) == (3, "")
+        assert "exceed the node budget 10" in err
+
+    def test_config_after_the_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("node_budget = 10\n")
+        argv = ("count", "K5", "--r", "3", "--naive", "--config", str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "exceed the node budget 10" in err
+        assert run_json(capsys, *argv, "--node-budget", "100000")["count"] == "6129"
+
+    def test_flag_equals_value_after_the_subcommand(self, capsys):
+        code, out, err = run(capsys, "count", "K5", "--r", "3", "--naive", "--node-budget=10")
+        assert (code, out) == (3, "")
+        assert "exceed the node budget 10" in err
+
+    def test_the_later_of_two_copies_wins(self, capsys):
+        argv = ("count", "K5", "--r", "3", "--naive")
+        assert run_json(capsys, "--node-budget", "10", *argv,
+                        "--node-budget", "100000")["count"] == "6129"
+        code, out, err = run(capsys, "--node-budget", "100000", *argv, "--node-budget", "10")
+        assert (code, out) == (3, "")
+
+    def test_root_help_lists_every_global_flag(self, capsys):
+        code, out, err = run(capsys, "-h")
+        assert code == 0
+        for flag in ("--config", "--node-budget", "--cache", "--sample-size"):
+            assert flag in out
+
+
+class TestHugeIntegers:
+    """Integers past the interpreter's 4300-digit str() limit end in an exit
+    code, never a traceback."""
+
+    @pytest.mark.parametrize("graph", ["K3", "K150"])
+    def test_naive_sweep_at_a_huge_r_is_refused_at_once(self, capsys, graph):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", graph, "--r", str(10**2000), "--naive")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "colorings exceed the node budget" in err
+
+    def test_exhaustive_cover_at_a_huge_r_is_refused(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify-cover", str(tmp_path), "--n", "4",
+                             "--r", str(10**2000))
+        assert (code, out) == (3, "")
+        assert "colorings exceed the node budget" in err
+
+    def test_counts_past_the_limit_round_trip_through_csv_and_cache(self, capsys, tmp_path):
+        r = 10**2200
+        csv, cache = tmp_path / "table.csv", tmp_path / "counts.jsonl"
+        argv = ("extremal", "--n", "3", "--r", str(r), "--cache", str(cache))
+        payload = run_json(capsys, *argv, "--csv", str(csv))
+        top = 3 * r**2 - 2 * r  # K3: r^3 minus its r(r-1)(r-2) rainbow colorings
+        assert payload["max_count"] == str(decimal.Decimal(top))
+        assert len(payload["max_count"]) > 4300
+        assert csv.read_text().splitlines()[-1] == f"Bw,3,{payload['max_count']}"
+        written = cache.read_bytes()
+        assert run_json(capsys, *argv) == payload
+        assert cache.read_bytes() == written
+
+    def test_hypergraph_stats_with_an_unprintable_edge_count(self, capsys):
+        code, out, err = run(capsys, "hypergraph", "stats", "--n", str(10**3000), "--r", "3")
+        assert (code, out) == (2, "")
+        assert "error: n and r are too large" in err

@@ -518,17 +518,28 @@ class TestSearchPlan:
             count_gallai_with_palettes(complete(600), [0b111] * comb(600, 2))
 
     def test_component_floor_bounds_the_largest_component(self):
-        # exact on K_n, and never above the largest component elsewhere
+        # exact on K_n, and never above the largest component elsewhere; a
+        # cap of every edge never stops the floor early
+        floor = gallai.counting._component_floor
         for n in (1, 2, 3, 7, 41):
-            assert gallai.counting._component_floor(complete(n)) == comb(n, 2)
+            assert floor(complete(n), comb(n, 2)) == comb(n, 2)
         rng = random.Random(73)
         graphs = [random_graph(rng, rng.randint(3, 9)) for _ in range(60)]
         graphs += [cycle(6), book(4), complete_bipartite(3, 4), K4_AND_DIAMOND]
         for g in graphs:
             tri_of_edge = gallai.counting._edge_triangles(g.edge_count, g.triangle_edges())
             largest = max(map(len, gallai.counting._edge_components(tri_of_edge)), default=0)
-            assert gallai.counting._component_floor(g) <= largest
-        assert gallai.counting._component_floor(book(4)) == comb(6, 2) - comb(4, 2)
+            assert floor(g, g.edge_count) <= largest
+        assert floor(book(4), book(4).edge_count) == comb(6, 2) - comb(4, 2)
+
+    def test_component_floor_stops_at_the_first_piece_past_the_cap(self):
+        # K5 on vertices 0-4 beside K8 on 5-12: vertex 0's piece already
+        # has 10 edges, past a cap of 9, so K8's 28 are never reached
+        g = Graph.from_edges(13, [(u, v) for u in range(5) for v in range(u + 1, 5)]
+                             + [(u, v) for u in range(5, 13) for v in range(u + 1, 13)])
+        floor = gallai.counting._component_floor
+        assert floor(g, 9) == comb(5, 2)
+        assert floor(g, comb(5, 2)) == comb(8, 2)
 
 
 class TestSurjectiveDecomposition:

@@ -1,3 +1,4 @@
+import decimal
 import gc
 import json
 import random
@@ -10,6 +11,8 @@ from gallai.counting import count_gallai, count_gallai_naive
 from gallai.errors import InvalidParameterError, ResourceLimitError
 from gallai.extremal import (
     CountCache,
+    ExtremalRow,
+    ExtremalTable,
     compare_known,
     export_csv,
     extremal_search,
@@ -119,6 +122,26 @@ class TestCache:
         assert [str(w.message).split(" in ")[0] for w in caught] == \
             [f"skipping corrupt cache line {i}" for i in (2, 3, 4)]
 
+    @pytest.mark.parametrize("fields", [
+        {"r": 3.7, "count": 1.5}, {"r": 3, "count": True}, {"r": 3, "count": "-7"},
+        {"r": True, "count": "5"}, {"r": 3, "count": 5}, {"r": 3, "count": " 5"},
+        {"r": 3, "count": "1_0"}, {"r": 3, "count": "\u0663"}, {"r": 3, "count": ""},
+    ])
+    def test_only_lines_put_writes_are_served(self, tmp_path, fields):
+        path = tmp_path / "counts.jsonl"
+        path.write_text(json.dumps({"g6": "Bw", **fields}) + "\n")
+        with pytest.warns(UserWarning, match="skipping corrupt cache line 1"):
+            assert CountCache(path).get("Bw", 3) is None
+
+    def test_counts_past_the_int_digit_limit_round_trip(self, tmp_path):
+        count = 7**6000
+        digits = str(decimal.Decimal(count))
+        assert len(digits) > 4300
+        path = tmp_path / "counts.jsonl"
+        CountCache(path).put(K4, 3, count)
+        assert json.loads(path.read_text())["count"] == digits
+        assert CountCache(path).get(K4, 3) == count
+
     def test_identical_puts_do_not_grow_the_file(self, tmp_path):
         path = tmp_path / "counts.jsonl"
         cache = CountCache(path)
@@ -212,6 +235,13 @@ class TestCsvExport:
         assert lines[0] == "g6,edges,count"
         assert len(lines) == 5
         assert lines[-1].startswith("Bw,3,21")
+
+    def test_counts_past_the_int_digit_limit(self, tmp_path):
+        count = 7**6000
+        table = ExtremalTable(3, 7, (ExtremalRow("Bw", 3, count),), ("Bw",), True)
+        out = tmp_path / "table.csv"
+        export_csv(table, out)
+        assert out.read_text().splitlines()[1] == f"Bw,3,{decimal.Decimal(count)}"
 
     def test_partial_table_leaves_blank_counts(self, tmp_path):
         with pytest.raises(ResourceLimitError) as info:
