@@ -48,6 +48,10 @@ EXACT_BOUNDS_LIMIT = 500
 # 0.8 s, r = 2^144 n = 68 in 0.4 s and r = 10^400 n = 9 (2-vCPU Xeon,
 # Python 3.11)
 COMPLETE_BITS = 12_000
+# K_n decomposition tables kept at once, one per r: a table grown to the
+# COMPLETE_BITS cap holds about 3.7 MiB (r = 3 through K_153), so a process
+# that sweeps r keeps at most about 60 MiB; an evicted r is rebuilt on use
+_DECOMPOSITION_TABLES = 16
 
 
 class Coloring:
@@ -246,11 +250,9 @@ class _StarTable:
     colorings whose e_i takes a color of the mask; ``doms`` pairs each e_i
     that the prefix narrows with those rows, to be keyed by its candidates.
     Two star edges va and vb share only the triangle vab, and ``pair(i,
-    j)`` holds its rows keyed by the color bit of ab: the colorings that
-    leave vab not rainbow.  ``pairs`` lists (ab, rows) for the triangles
-    whose third edge the prefix colors.  The live colorings under a colored
-    prefix are the bits set in ``ones`` and in every row that its
-    candidates and colors select.
+    j)`` gives its row for a color bit of ab: the colorings that leave vab
+    not rainbow.  The live colorings under a colored prefix are the bits
+    set in ``ones`` and in every row that its candidates and colors select.
 
     A prefix that used the colors below k may give the star new colors only
     in canonical order, the rule the search branches by.  ``fresh[k]`` lists
@@ -261,7 +263,7 @@ class _StarTable:
     A star of no edges has one coloring, ``ones`` = 1.
     """
 
-    __slots__ = ("ones", "width", "choices", "radix", "single", "doms", "pairs", "fresh")
+    __slots__ = ("ones", "width", "choices", "radix", "single", "doms", "fresh")
 
     def __init__(self, star: list[int], masks: list[int], narrowed: set[int]):
         choices = []
@@ -326,7 +328,6 @@ class _StarTable:
         self.radix = radix
         self.single = single
         self.doms = [(e, self.rows(i)) for i, e in enumerate(star) if e in narrowed]
-        self.pairs: list[tuple[int, _Memo]] = []
         self.fresh = _Memo(new_colors)
 
     def rows(self, i: int) -> _Memo:
@@ -342,9 +343,10 @@ class _StarTable:
 
         return _Memo(digits)
 
-    def pair(self, i: int, j: int) -> _Memo:
-        """Rows of the triangle through star edges i and j, keyed by the color
-        bit of its third edge; the row of equal colors is built on first use."""
+    def pair(self, i: int, j: int):
+        """The row of the colorings that leave the triangle through star edges
+        i and j not rainbow, for a color bit of its third edge; the row of
+        equal colors is built on the first call."""
         single_i, single_j = self.single[i], self.single[j]
         same = []
 
@@ -356,7 +358,7 @@ class _StarTable:
                         same[0] |= row & single_j[bit]
             return same[0] | single_i.get(color, 0) | single_j.get(color, 0)
 
-        return _Memo(not_rainbow)
+        return not_rainbow
 
 
 class _ComponentPlan:
@@ -379,17 +381,27 @@ class _ComponentPlan:
     none holds two edges of A and one of B: when the later of the two A
     edges joined A, the earlier one still lay before it.  What ties A to B
     is B's pair rows keyed by the colors of A's edges, which depend on A's
-    coloring j alone; ``cross[j]`` is their AND, all of B when no triangle
-    holds edges of both.  ``star`` holds B's tables, ``lead`` A's, and
-    ``levels[k]`` the new-color rows of both stars at level k: (M_{k,t} of
-    A, [(k + t + u, M_{k+t,u} of B), ...]) for each t.  All are built with
-    the plan; the rows of ``cross``, ``levels`` and the tables are filled
-    in the first time a leaf reads them, and live as long as the plan: one
-    call.
+    coloring j alone; ``cross[j]`` is their AND, and ``cross`` is None when
+    no triangle holds edges of both, A empty among them.  ``star`` holds B's
+    tables, ``lead`` A's, and ``levels[k]`` the new-color rows of both stars
+    at level k: (M_{k,t} of A, [(k + t + u, M_{k+t,u} of B), ...]) for each
+    t.  From level ``window`` on, past both stars' palettes, that list is
+    the one pair of all colorings.
+
+    The live colorings of both stars travel as one int: B's row shifted
+    ``shift`` bits, A's width, above A's row, starting from ``live``, all
+    of both.  A prefix edge's color selects at most one pair row of each
+    star, of the triangle it closes with the star's vertex, and
+    ``keys[pos]`` holds, keyed by the color bit of order[pos], those two
+    rows packed the same way, all of a star that the edge keys no row of;
+    it is None where the edge keys neither.  All are built with the plan;
+    the rows of ``keys``, ``cross``, ``levels`` and the tables are filled
+    in the first time the search reads them, and live as long as the plan:
+    one call.
     """
 
-    __slots__ = ("order", "narrow", "leaf_start", "star_start", "star", "lead", "cross",
-                 "levels")
+    __slots__ = ("order", "narrow", "leaf_start", "star_start", "star", "lead", "shift",
+                 "live", "keys", "window", "cross", "levels")
 
     def __init__(self, comp: list[int], tri_of_edge: list[list[tuple[int, int]]],
                  ends: list[tuple[int, int]], masks: list[int]):
@@ -426,13 +438,16 @@ class _ComponentPlan:
             start = stop
             while start:
                 i = start - 1
-                u, v = ends[order[i]]
+                e = order[i]
+                u, v = ends[e]
                 common &= 1 << u | 1 << v
-                bits *= masks[order[i]].bit_count()
-                if not common or bits > _STAR_TABLE_BITS or any(
-                        max(pos[f], pos[g]) >= stop > i > min(pos[f], pos[g])
-                        for f, g in tri_of_edge[order[i]]):
-                    break
+                bits *= masks[e].bit_count()
+                if not common or bits > _STAR_TABLE_BITS:
+                    return start
+                for f, g in tri_of_edge[e]:
+                    pf, pg = pos[f], pos[g]
+                    if (pf < i and pg >= stop) or (pg < i and pf >= stop):
+                        return start
                 start = i
             return start
 
@@ -471,16 +486,27 @@ class _ComponentPlan:
 
         # a triangle through two edges of B has its third edge in the prefix
         # or in A, where B's pair rows are keyed by that edge's digit; one
-        # through two edges of A has it in the prefix
+        # through two edges of A has it in the prefix.  A star at v has one
+        # triangle through ab, vab, so a prefix edge keys at most one pair
+        # row of each star: sides[position] = [B's, A's]
+        sides: dict[int, list] = {}
         keyed = []
         for i, j, ab in pairs_of(star_start, len(order)):
             rows = star.pair(i, j)
             if pos[ab] < leaf_start:
-                star.pairs.append((ab, rows))
+                sides[pos[ab]] = [rows, None]
             else:
                 a = pos[ab] - leaf_start
-                keyed.append((lead.choices[a], lead.radix[a], rows))
-        lead.pairs = [(ab, lead.pair(i, j)) for i, j, ab in pairs_of(leaf_start, star_start)]
+                keyed.append((lead.choices[a], lead.radix[a], _Memo(rows)))
+        for i, j, ab in pairs_of(leaf_start, star_start):
+            sides.setdefault(pos[ab], [None, None])[1] = lead.pair(i, j)
+        shift = lead.ones.bit_length()
+
+        def packed(high, low) -> _Memo:
+            """One prefix edge's rows keyed by its color bit: B's shifted
+            above A's, all of a star where it keys no row."""
+            return _Memo(lambda color: (high(color) if high else star.ones) << shift
+                         | (low(color) if low else lead.ones))
 
         def admitted(j: int) -> int:
             row = star.ones
@@ -492,7 +518,13 @@ class _ComponentPlan:
             return [(head, [(w, row) for w, row in enumerate(star.fresh[t], t) if row])
                     for t, head in enumerate(lead.fresh[k], k) if head]
 
-        self.cross = _Memo(admitted)
+        self.shift = shift
+        self.live = star.ones << shift | lead.ones
+        self.keys = [None] * leaf_start
+        for p, (high, low) in sides.items():
+            self.keys[p] = packed(high, low)
+        self.window = max(star.width, lead.width)
+        self.cross = _Memo(admitted) if keyed else None
         self.levels = _Memo(level)
 
 
@@ -514,18 +546,24 @@ class _Searcher:
     relabel the same coloring.  A palette search starts past the window with
     weight 1, so it sees every candidate as given.
 
-    Every search ends at its plan's ``leaf_start`` with one leaf that counts
-    the colorings of its two stars under the colored prefix, from the
-    tables the plan was built with.  From the prefix's candidates and
-    colors it reads L, B's live colorings, and, when L is not empty, V,
-    A's; the count is the sum over s in V of popcount(L & cross[s]).  Split
-    by new colors, A's rows M_{k,t} pick the s that open t colors and B's
-    rows M_{k+t,u} the completions that open u more, and each (t, u) sum is
-    multiplied once by ``weight[k + t + u]``; past the window both lists
-    are the one row of all colorings.  Every color tried at a branching
-    level costs one node, charged before the colors are tried; a leaf
-    costs one node per s in V that it sums, and at least one, charged once
-    it has summed.  One meter covers every component of the call.
+    ``run(pos, k, live)`` carries the stars' live colorings down the
+    prefix as the plan's packed int: a child ANDs the one entry of
+    ``keys[pos]`` for its color, and a child whose B half is then empty has
+    no coloring to count and is cut before its narrowing.  Every search
+    ends at its plan's ``leaf_start`` with one leaf that counts the
+    colorings of its two stars under the colored prefix.  It splits the int
+    into L, B's live colorings, and V, A's, and ANDs in only the rows of
+    the star edges whose candidates the prefix narrowed; the count is the
+    sum over s in V of popcount(L & cross[s]), or |V| popcount(L) with no
+    cross rows.  Past the window every coloring has weight ``weight[k]``,
+    which multiplies that sum once.  Inside it, split by new colors, A's
+    rows M_{k,t} pick the s that open t colors and B's rows M_{k+t,u} the
+    completions that open u more, and each (t, u) sum is multiplied once by
+    ``weight[k + t + u]``.  Every color tried at a branching level costs
+    one node, charged before the colors are tried, so a cut child has cost
+    its node; a leaf costs one node per s in V that it sums, and at least
+    one, charged once it has summed.  One meter covers every component of
+    the call.
     """
 
     __slots__ = ("plan", "cand", "colors", "meter", "weight")
@@ -544,72 +582,85 @@ class _Searcher:
         total = 1
         for plan in plans:
             self.plan = plan
-            total *= self.run(0, start)
+            total *= self.run(0, start, plan.live)
             if total == 0:
                 return 0
         return total
 
-    def run(self, pos: int, k: int) -> int:
+    def run(self, pos: int, k: int, live: int) -> int:
         plan = self.plan
         cand = self.cand
-        colors = self.colors
         meter = self.meter
         if pos == plan.leaf_start:
-            star = plan.star
-            tail = star.ones
-            for e, dom in star.doms:
+            tail = live >> plan.shift
+            for e, dom in plan.star.doms:
                 tail &= dom[cand[e]]
-            for ab, table in star.pairs:
-                tail &= table[colors[ab]]
+            lead = plan.lead
+            live &= lead.ones
+            for e, dom in lead.doms:
+                live &= dom[cand[e]]
             total = 0
             nodes = 0
-            if tail:
-                lead = plan.lead
-                live = lead.ones
-                for e, dom in lead.doms:
-                    live &= dom[cand[e]]
-                for ab, table in lead.pairs:
-                    live &= table[colors[ab]]
+            if tail and live:
                 cross = plan.cross
                 weight = self.weight
-                for head, rows in plan.levels[k]:
-                    head &= live
-                    if not head:
-                        continue
-                    low = head & -head
-                    if head == low:
-                        # one coloring of A, so its cross row narrows L itself
-                        nodes += 1
-                        part = tail & cross[low.bit_length() - 1]
-                        for w, row in rows:
-                            total += weight[w] * (part & row).bit_count()
-                        continue
-                    nodes += head.bit_count()
-                    parts = []
-                    while head:
-                        low = head & -head
-                        head ^= low
-                        parts.append(tail & cross[low.bit_length() - 1])
-                    for w, row in rows:
+                if k >= plan.window:
+                    # every coloring of both stars has weight[k]
+                    nodes = live.bit_count()
+                    if cross is None:
+                        found = nodes * tail.bit_count()
+                    else:
                         found = 0
-                        for part in parts:
-                            found += (part & row).bit_count()
-                        total += weight[w] * found
+                        while live:
+                            low = live & -live
+                            live ^= low
+                            found += (tail & cross[low.bit_length() - 1]).bit_count()
+                    total = weight[k] * found
+                else:
+                    for head, rows in plan.levels[k]:
+                        head &= live
+                        if not head:
+                            continue
+                        size = head.bit_count()
+                        nodes += size
+                        if cross is None:
+                            for w, row in rows:
+                                total += weight[w] * size * (tail & row).bit_count()
+                            continue
+                        parts = []
+                        while head:
+                            low = head & -head
+                            head ^= low
+                            parts.append(tail & cross[low.bit_length() - 1])
+                        for w, row in rows:
+                            found = 0
+                            for part in parts:
+                                found += (part & row).bit_count()
+                            total += weight[w] * found
             meter[0] -= nodes or 1
             if meter[0] < 0:
                 raise _exhausted(meter)
             return total
+        colors = self.colors
         e = plan.order[pos]
         pairs = plan.narrow[pos]
+        keys = plan.keys[pos]
         total = 0
         fresh = 1 << k
         mask = cand[e] & ((fresh << 1) - 1)
         meter[0] -= mask.bit_count()
         if meter[0] < 0:
             raise _exhausted(meter)
+        # the child's B half is empty when its int is below this
+        top = 1 << plan.shift
+        child = live
         while mask:
             bit = mask & -mask
             mask ^= bit
+            if keys is not None:
+                child = live & keys[bit]
+                if child < top:
+                    continue
             colors[e] = bit
             trail = []
             for f, g in pairs:
@@ -624,7 +675,7 @@ class _Searcher:
                     trail.append((g, old))
                     cand[g] = new
             else:
-                total += self.run(pos + 1, k + 1 if bit == fresh else k)
+                total += self.run(pos + 1, k + 1 if bit == fresh else k, child)
             for g, old in trail:
                 cand[g] = old
         return total
@@ -703,9 +754,11 @@ def count_gallai_with_palettes(graph: Graph, palette_masks, *,
     ends in one leaf over its last two stars: runs of edges at one vertex
     whose palette sizes multiply to at most ``_STAR_TABLE_BITS``.  Their
     truth tables are built once per call, and the leaf counts the stars'
-    colorings under a colored prefix from ANDs and popcounts of table rows,
-    one node per coloring of the first star that it sums.  node_budget
-    bounds the search nodes of the whole call.
+    colorings under a colored prefix from ANDs and popcounts of table rows:
+    the rows that the prefix's colors select are ANDed in on the way down,
+    one per branch, and a branch that leaves the last star no coloring is
+    cut.  The leaf costs one node per coloring of the first star that it
+    sums.  node_budget bounds the search nodes of the whole call.
     """
     masks = list(palette_masks)
     m = graph.edge_count
@@ -830,9 +883,10 @@ class _Decomposition:
         return self
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_DECOMPOSITION_TABLES)
 def _decomposition(r: int) -> _Decomposition:
-    """The growing tables of one r, built on first use."""
+    """The growing tables of one r, built on first use; the tables of the
+    ``_DECOMPOSITION_TABLES`` most recently used r are kept."""
     return _Decomposition(r)
 
 

@@ -29,6 +29,12 @@ DEFAULT_SAMPLE_SIZE = 10_000
 DEFAULT_C_CAP = 648000.0
 # templates: the triangle classification modes
 TALLY_MODES = ("complete", "dense-generic", "dense4")
+# Most vertices of a named family (K_n, K_{a,b}, C_n, B_q).  A graph holds n
+# adjacency rows of up to n bits, and its constructor checks all C(n,2)
+# vertex pairs: K4000 takes 2 s and the cost grows faster than n^2 (2-vCPU
+# Xeon, Python 3.11), so K_n at this cap would take many minutes and 512 MiB.
+# A larger family is refused before it is built.
+FAMILY_VERTEX_LIMIT = 1 << 16
 
 
 def decimal_digits(value: int) -> str:
@@ -253,9 +259,17 @@ class Graph(Record):
 # named families
 
 
+def _check_family(vertices: int) -> None:
+    # the size is not printed: a + b may be past the digits str() prints
+    if vertices > FAMILY_VERTEX_LIMIT:
+        raise ResourceLimitError(
+            f"the graph would have more than {FAMILY_VERTEX_LIMIT} vertices, too many to build")
+
+
 def complete(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError("complete graph needs n >= 1")
+    _check_family(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -263,6 +277,7 @@ def complete(n: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise InvalidParameterError("complete bipartite graph needs both sides nonempty")
+    _check_family(a + b)
     left = (1 << a) - 1
     right = ((1 << b) - 1) << a
     rows = [right] * a + [left] * b
@@ -273,6 +288,7 @@ def book(q: int) -> Graph:
     """Book with q pages: base edge {0, 1}, pages 2..q+1 joined to both ends."""
     if q < 0:
         raise InvalidParameterError("book needs q >= 0 pages")
+    _check_family(q + 2)
     edges = [(0, 1)]
     for p in range(2, q + 2):
         edges.append((0, p))
@@ -283,6 +299,7 @@ def book(q: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError("cycle needs n >= 3")
+    _check_family(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 

@@ -365,13 +365,20 @@ def supersaturation_check(graph: Graph, k: int, t: int, *,
     A graph t-far from k-partite must contain at least
     n^(k-1) / (e^(2k) k!) (e(G) + t - (1 - 1/k) n^2 / 2) cliques on k+1
     vertices; graphs that are not t-far pass vacuously.  node_budget bounds
-    the max k-cut search that decides t-farness.
+    the max k-cut search that decides t-farness.  The bound is reported as a
+    float, so k and t that put it past the float range are refused.
     """
     if k < 1 or t < 1:
         raise InvalidParameterError("need k >= 1 and t >= 1")
     n = graph.n
     far = t_far(graph, k, t, node_budget=node_budget)
-    bound = (n ** (k - 1) / (math.exp(2 * k) * math.factorial(k))
-             * (graph.edge_count + t - (1 - 1 / k) * n * n / 2))
+    try:
+        bound = (n ** (k - 1) / (math.exp(2 * k) * math.factorial(k))
+                 * (graph.edge_count + t - (1 - 1 / k) * n * n / 2))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise InvalidParameterError(
+            "k and t are too large: the supersaturation bound is past the float range")
     cliques = count_cliques(graph, k + 1)
     return SupersatReport(far, bound, cliques, (not far) or cliques >= bound)

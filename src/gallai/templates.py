@@ -8,6 +8,7 @@ triangles realizable inside P.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb, log2
 
 from .counting import Coloring, count_gallai_with_palettes, DEFAULT_NODE_BUDGET
@@ -201,7 +202,9 @@ def classify_triangles(template: Template, mode: str) -> TriangleTally:
     """Partition the C(n,3) triangles of K_n into palette-profile classes.
 
     Classes are tested in the order T1..T5 and each triangle lands in the
-    first class it matches, so the tallies always sum to C(n,3).
+    first class it matches, so the tallies always sum to C(n,3).  A class
+    depends only on the triangle's three palettes, so each distinct triple
+    of palettes is classified once and counted as often as it occurs.
     """
     if mode not in TALLY_MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}; expected one of {TALLY_MODES}")
@@ -213,11 +216,11 @@ def classify_triangles(template: Template, mode: str) -> TriangleTally:
         "dense4": _classify_dense4,
     }[mode]
     pal = template.palettes
+    triangles = complete(template.n).triangle_edges()
+    triples = Counter((pal[a], pal[b], pal[c]) for a, b, c in triangles)
     tally = {label: 0 for label in ("T1", "T2", "T3", "T4", "T5")}
-    for a, b, c in complete(template.n).triangle_edges():
-        masks = (pal[a], pal[b], pal[c])
-        sizes = tuple(m.bit_count() for m in masks)
-        tally[classify(sizes, masks)] += 1
+    for masks, count in triples.items():
+        tally[classify(tuple(m.bit_count() for m in masks), masks)] += count
     result = TriangleTally(mode, tuple(tally.items()))
     assert result.total() == comb(template.n, 3)
     return result

@@ -944,6 +944,26 @@ class TestHugeIntegers:
         assert run_json(capsys, *argv) == payload
         assert cache.read_bytes() == written
 
+    @pytest.mark.parametrize("name", [
+        "K10000000000000000000000", "K2,100000000000000000000", "K1,100000000000000000000",
+        "C10000000000000000000000", "B10000000000000000000000"])
+    @pytest.mark.parametrize("command", ["count", "count-ga"])
+    def test_huge_family_names_are_refused_before_they_are_built(
+            self, capsys, full_template_file, name, command):
+        argv = (("count", name, "--r", "3") if command == "count" else
+                ("template", "count-ga", full_template_file, "--graph", name))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "vertices, too many to build" in err
+
+    def test_supersat_bound_past_the_float_range(self, capsys):
+        code, out, err = run(capsys, "stability", "supersat", "--graph", "K4", "--k", "2",
+                             "--t", str(10**3000))
+        assert (code, out) == (2, "")
+        assert "error: k and t are too large" in err
+
     def test_hypergraph_stats_with_an_unprintable_edge_count(self, capsys):
         code, out, err = run(capsys, "hypergraph", "stats", "--n", str(10**3000), "--r", "3")
         assert (code, out) == (2, "")

@@ -406,9 +406,10 @@ class TestTwoStarLeaf:
                      for _ in range(m)]
             plans, _ = gallai.counting._search_plans(g, masks)
             seen["first star"] += any(plan.leaf_start < plan.star_start for plan in plans)
-            # a coloring of A that rules out part of B through B's pair rows
-            seen["cross rows"] += sum(any(plan.cross[s] != plan.star.ones
-                                          for s in range(plan.lead.ones.bit_length()))
+            # a coloring of A that rules out part of B through B's pair rows;
+            # a plan with no triangle through both stars has no cross rows
+            seen["cross rows"] += sum(plan.cross is not None and any(
+                plan.cross[s] != plan.star.ones for s in range(plan.lead.ones.bit_length()))
                                       for plan in plans)
             seen["components"] += len(plans) >= 2
             counts = count_gallai(g, r), count_gallai_with_palettes(g, masks)
@@ -423,6 +424,63 @@ class TestTwoStarLeaf:
         assert seen["cross rows"] >= 40
         assert seen["components"] >= 10
         assert seen["naive"] >= 100
+
+    def test_children_cut_on_the_packed_row_agree_with_naive_and_plain_branching(
+            self, monkeypatch):
+        calls = []
+        run = gallai.counting._Searcher.run
+
+        def recording_run(self, pos, k, live):
+            calls.append((self.plan, pos, k, live, list(self.cand)))
+            return run(self, pos, k, live)
+
+        monkeypatch.setattr(gallai.counting._Searcher, "run", recording_run)
+        rng = random.Random(97)
+        seen = {"cut": 0, "naive": 0}
+        for trial in range(120):
+            n = rng.randint(4, 6)
+            g = random_graph(rng, n) if trial % 2 else complete(n)
+            m = g.edge_count
+            r = rng.choice((3, 4))
+            # narrow palettes, so many a prefix color leaves B no coloring
+            masks = [sum(1 << c for c in rng.sample(range(r), rng.randint(1, 2)))
+                     for _ in range(m)]
+            calls.clear()
+            count = count_gallai_with_palettes(g, masks)
+            # a child of a branching call whose B half is empty is never run
+            for plan, pos, k, live, cand in calls:
+                keys = plan.keys[pos] if pos < plan.leaf_start else None
+                if keys is not None:
+                    colors = cand[plan.order[pos]] & ((2 << k) - 1)
+                    seen["cut"] += sum(live & keys[1 << c] < 1 << plan.shift
+                                       for c in range(colors.bit_length()) if colors >> c & 1)
+            assert count == branching_palette_count(g, masks)
+            if r**m <= 10**6:
+                assert count == enumerated_palette_count(g, masks)
+                seen["naive"] += 1
+        assert seen["cut"] >= 30
+        assert seen["naive"] >= 40
+
+    def test_a_child_cut_on_the_packed_row_costs_no_node(self):
+        # K4 in the order 01, then A = (02, 12) at vertex 2 and B = (03, 13,
+        # 23) at vertex 3.  Edge 01 tries its 3 colors, 3 nodes.  03 is 1 and
+        # 13 is 3, so 01 = 2 makes triangle 013 rainbow: B's half of that
+        # child is empty and the child is cut.  01 = 1 and 01 = 3 each leave
+        # A one coloring (02 = 01, 12 = 2), one node per leaf, 5 in all; a
+        # search that ran the cut child to its leaf would charge it a sixth
+        g = complete(4)
+        masks = [0b111, 0b101, 0b001, 0b010, 0b100, 0b011]
+        [plan], _ = gallai.counting._search_plans(g, masks)
+        assert [g.edges()[e] for e in plan.order] == [
+            (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+        assert (plan.leaf_start, plan.star_start) == (1, 3)
+
+        def count(graph, budget):
+            return count_gallai_with_palettes(graph, masks, node_budget=budget)
+
+        assert least_budget(count, g) == 5
+        # 01 = 1, 02 = 1, 12 = 2, 03 = 1, 13 = 3 and 23 = 2
+        assert count(g, 5) == 1 == enumerated_palette_count(g, masks)
 
     def test_third_rule_cuts_the_first_star_short(self):
         # B is (2, 3) and A is (1, 4).  The edge (1, 3) before A shares its
@@ -649,6 +707,28 @@ class TestCompleteRecurrence:
         for n in range(1, 30):
             assert count_complete(n, 2) == 2 ** comb(n, 2)
             assert count_complete(n, 1) == 1
+
+    def test_tables_kept_are_bounded_and_rebuilt_when_evicted(self):
+        decomposition = gallai.counting._decomposition
+        keep = gallai.counting._DECOMPOSITION_TABLES
+        decomposition.cache_clear()
+        counts = {r: count_complete(8, r) for r in (3, 7)}
+        first = decomposition(2)
+        # K_1 grows no table, so these calls read no r = 2 table and push it out
+        for r in range(100, 100 + 2 * keep):
+            assert count_complete(1, r) == 1
+        assert decomposition.cache_info().currsize == keep
+        assert decomposition(2) is not first
+        decomposition.cache_clear()
+        # r = 7 was evicted too; its K_8 count rebuilds the prime-graph counts
+        assert count_complete(8, 7) == counts[7]
+        for r in range(3, 3 + 10 * keep):
+            count = count_complete(8, r)
+            assert decomposition.cache_info().currsize <= keep
+            if r in counts:
+                assert count == counts[r]
+        assert count_complete(5, 9) == count_gallai(complete(5), 9)
+        assert count_complete(8, 3) == COMPLETE_EIGHT[0][1]
 
     def test_domain_and_cap(self):
         with pytest.raises(InvalidParameterError):

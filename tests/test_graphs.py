@@ -10,6 +10,7 @@ from gallai.errors import InvalidParameterError, ParseError, ResourceLimitError
 from gallai.graphs import (
     ALL_GRAPHS_LIMIT,
     CANONICAL_LIMIT,
+    FAMILY_VERTEX_LIMIT,
     Graph,
     all_graphs,
     book,
@@ -46,6 +47,22 @@ class TestConstruction:
         assert cycle(5).edge_count == 5
         assert book(4).edge_count == 1 + 2 * 4
         assert all(complete(6).degree(v) == 5 for v in range(6))
+
+    @pytest.mark.parametrize("build, sizes", [
+        (complete, (FAMILY_VERTEX_LIMIT + 1,)), (complete, (10**22,)),
+        (complete_bipartite, (1, FAMILY_VERTEX_LIMIT)), (complete_bipartite, (2, 10**20)),
+        (complete_bipartite, (10**4300 - 1, 10**4300 - 1)),
+        (cycle, (FAMILY_VERTEX_LIMIT + 1,)), (cycle, (10**22,)),
+        (book, (FAMILY_VERTEX_LIMIT - 1,)), (book, (10**22,))])
+    def test_family_past_the_vertex_cap_is_refused_before_it_is_built(self, build, sizes):
+        with pytest.raises(ResourceLimitError, match=f"more than {FAMILY_VERTEX_LIMIT} vertices"):
+            build(*sizes)
+
+    def test_family_errors_below_the_cap_are_unchanged(self):
+        for name in ("K0", "K2,0", "K-5,100000000000000000000", "C2", "B-1"):
+            with pytest.raises(InvalidParameterError):
+                graph_from_name(name)
+        assert graph_from_name("B0").edge_count == 1
 
     def test_book_two_pages_is_diamond(self):
         diamond = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])

@@ -315,6 +315,10 @@ class TestSupersaturation:
         with pytest.raises(InvalidParameterError):
             supersaturation_check(complete(4), k=2, t=0)
 
+    def test_bound_past_the_float_range_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="past the float range"):
+            supersaturation_check(complete(4), k=2, t=10**400)
+
     def test_bound_grows_with_distance(self):
         bounds = [supersaturation_check(complete(5), k=2, t=t).bound for t in (1, 2, 3)]
         assert bounds == sorted(bounds)

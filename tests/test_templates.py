@@ -29,6 +29,7 @@ from gallai.templates import (
     template_to_text,
     weight,
 )
+from gallai.templates import _classify_complete, _classify_dense4, _classify_dense_generic
 
 
 def template_with_sizes(n, r, size_by_edge):
@@ -215,6 +216,26 @@ class TestClassification:
                 if mode == "dense4" and r != 4:
                     continue
                 assert classify_triangles(t, mode).total() == comb(n, 3)
+
+    def test_tallies_match_the_per_triangle_loop(self):
+        classify = {"complete": _classify_complete, "dense-generic": _classify_dense_generic,
+                    "dense4": _classify_dense4}
+        rng = random.Random(73)
+        for trial in range(60):
+            n = rng.randint(3, 12)
+            r = 4 if trial % 2 else rng.choice((3, 5))
+            t = random_template(rng, n, r)
+            if trial % 3 == 0:
+                # few distinct palettes, so many triangles share a triple
+                t = Template(n, r, tuple(rng.choice((1, 3, (1 << r) - 1)) for _ in t.palettes))
+            for mode in TALLY_MODES:
+                if mode == "dense4" and r != 4:
+                    continue
+                tally = dict.fromkeys(("T1", "T2", "T3", "T4", "T5"), 0)
+                for a, b, c in itertools.combinations(range(n), 3):
+                    masks = (t.palette(a, b), t.palette(a, c), t.palette(b, c))
+                    tally[classify[mode](tuple(m.bit_count() for m in masks), masks)] += 1
+                assert classify_triangles(t, mode).as_dict() == tally
 
     def test_complete_mode_never_uses_t5(self):
         rng = random.Random(71)
