@@ -12,17 +12,17 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "counting": ("AsymptoticBounds", "Coloring", "asymptotic_bounds", "book_gallai_count",
-                 "count_complete", "count_gallai", "count_gallai_naive",
+    "counting": ("Coloring", "book_gallai_count", "count_gallai", "count_gallai_naive",
                  "count_gallai_with_palettes", "gallai_colorings", "is_gallai",
-                 "lower_bound_two_color", "max_matching_size", "red_once_count",
-                 "s_deviation"),
+                 "max_matching_size", "s_deviation"),
     "errors": ("GallaiError", "InvalidInputError", "InvalidParameterError", "ParseError",
                "ResourceLimitError"),
     "graphs": ("Graph", "all_graphs", "book", "booksize", "booksize_edge", "canonical_form",
                "canonical_graph", "complete", "complete_bipartite", "count_cliques", "cycle",
                "graph_from_name", "graph6_decode", "graph6_encode", "lovasz_triangle_bound",
                "max_k_partite_edges", "parse_edge_list", "format_edge_list", "t_far"),
+    "kn": ("AsymptoticBounds", "asymptotic_bounds", "count_complete", "lower_bound_two_color",
+           "red_once_count"),
     "templates": ("Template", "TriangleTally", "classify_triangles", "count_ga",
                   "from_coloring", "full_template", "is_gallai_template", "is_subtemplate",
                   "pair_template", "product_log_bound", "r_edges", "rt_count",

@@ -12,10 +12,11 @@ handler on its own subparser.
 
 Every run is one process that runs one command, and without a bytecode cache
 most of its start-up is compiling this package.  So the module level imports
-only what every command runs (``errors``, ``graphs``, ``counting``), and each
-handler imports ``extremal``, ``templates``, ``containers`` or ``stability``
-when it runs; ``fractions`` and ``decimal`` load only where a value needs
-them.  Annotations that name those modules are strings, never evaluated.
+only what every command but ``bounds`` runs (``errors``, ``graphs``,
+``counting``), and each handler imports ``extremal``, ``templates``,
+``containers``, ``stability`` or ``kn`` when it runs; ``fractions`` and
+``decimal`` load only where a value needs them.  Annotations that name those
+modules are strings, never evaluated.
 """
 
 from __future__ import annotations
@@ -294,10 +295,11 @@ def _cmd_verify_cover(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    bounds = counting.asymptotic_bounds(args.n, args.r)
+    from . import kn
+    bounds = kn.asymptotic_bounds(args.n, args.r)
     return {"n": args.n, "r": args.r,
             "lower_two_color": (None if bounds.trivial_lower is None else
-                                decimal_digits(counting.lower_bound_two_color(args.n, args.r))),
+                                decimal_digits(kn.lower_bound_two_color(args.n, args.r))),
             "lower_two_color_log2": bounds.two_color_log2,
             "lower_simple_log2": bounds.trivial_lower_log2,
             "upper_log2": bounds.main_upper_log2}

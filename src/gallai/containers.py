@@ -14,11 +14,9 @@ import random
 from fractions import Fraction
 from math import comb, exp, isqrt, log, log2
 
-from .counting import gallai_colorings, sample_complete
+from .counting import gallai_colorings
 from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from .graphs import DEFAULT_NODE_BUDGET, DEFAULT_SAMPLE_SIZE, Record, complete, edge_pairs
-# unused here, but still importable under its old name
-from .graphs import DEFAULT_C_CAP  # noqa: F401
 from .templates import Template, rt_count
 
 BUILD_N_LIMIT = 10
@@ -241,13 +239,15 @@ def verify_cover(family, n: int, r: int, c: float, *,
     that node_budget bounds (one node each).  Above that it checks sample_size colorings,
     each drawn uniformly from the Gallai r-colorings of K_n with Gallai's
     decomposition, so three-color colorings turn up as often as they
-    exist; its tables are capped by ``counting.COMPLETE_BITS``.  The
+    exist; its tables are capped by ``kn.COMPLETE_BITS``.  The
     certificate says which of the two it did and how many checked colorings
     used three colors or more.  Sparsity is the per-template integer test
     RT^3 * n <= C(n,3)^3, and the size bound compares log2 of the family
     size against c n^(-1/3) log2^2(n) C(n,2).  A failing property always
     carries a concrete witness.
     """
+    # loaded here, so that the hypergraph commands never compile the K_n module
+    from .kn import sample_complete
     if n < 3 or r < 2:
         raise InvalidParameterError("need n >= 3 and r >= 2")
     family = list(family)

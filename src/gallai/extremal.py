@@ -6,7 +6,7 @@ import json
 import warnings
 from pathlib import Path
 
-from .counting import DEFAULT_NODE_BUDGET, count_complete, count_gallai
+from .counting import DEFAULT_NODE_BUDGET, count_gallai
 from .errors import InvalidParameterError, ResourceLimitError
 from .graphs import Record, all_graphs, decimal_digits, graph6_encode, parse_digits
 # unused here, but bench/spans.py traces them through this module by name
@@ -159,6 +159,8 @@ def compare_known(n: int, r: int) -> KnownComparison:
     """Exact counts for K_n versus the balanced complete bipartite graph, in
     closed form: K_n from ``count_complete``, and K_{⌊n/2⌋,⌈n/2⌉}, which has
     no triangle, as r^(⌊n/2⌋ ⌈n/2⌉)."""
+    # loaded here, so that the extremal tables never compile the K_n module
+    from .kn import count_complete
     if n < 2 or r < 1:
         raise InvalidParameterError("need n >= 2 and r >= 1")
     full = count_complete(n, r)

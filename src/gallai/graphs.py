@@ -30,10 +30,8 @@ DEFAULT_C_CAP = 648000.0
 # templates: the triangle classification modes
 TALLY_MODES = ("complete", "dense-generic", "dense4")
 # Most vertices of a named family (K_n, K_{a,b}, C_n, B_q).  A graph holds n
-# adjacency rows of up to n bits, and its constructor checks all C(n,2)
-# vertex pairs: K4000 takes 2 s and the cost grows faster than n^2 (2-vCPU
-# Xeon, Python 3.11), so K_n at this cap would take many minutes and 512 MiB.
-# A larger family is refused before it is built.
+# adjacency rows of up to n bits, so K_n at this cap would hold 512 MiB.  A
+# larger family is refused before it is built.
 FAMILY_VERTEX_LIMIT = 1 << 16
 
 
@@ -138,16 +136,41 @@ class Graph(Record):
             raise InvalidParameterError("graphs need at least one vertex")
         if len(self.adj) != self.n:
             raise InvalidParameterError("adjacency length differs from vertex count")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
-            if row & ~full:
+        n, rows = self.n, self.adj
+        bits = 0
+        for u, row in enumerate(rows):
+            if row >> n:
                 raise InvalidParameterError(f"neighbor bits out of range at vertex {u}")
             if row >> u & 1:
                 raise InvalidParameterError(f"loop at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
+            bits += row.bit_count()
+        # symmetric when each bit above the diagonal has its mirror and they
+        # are half of all bits.  A graph denser than half of all pairs is
+        # checked on its complement, which is symmetric when it is and has
+        # fewer bits to visit
+        if bits > n * (n - 1) // 2:
+            full = (1 << n) - 1
+            rows = [full ^ row ^ 1 << u for u, row in enumerate(rows)]
+            bits = n * (n - 1) - bits
+        for u, row in enumerate(rows):
+            row >>= u + 1
+            while row:
+                bit = row & -row
+                row ^= bit
+                v = u + bit.bit_length()
+                if not rows[v] >> u & 1:
                     raise InvalidParameterError(f"asymmetric adjacency at ({u}, {v})")
+                bits -= 2
+        if bits:
+            # a bit below the diagonal has no mirror above it
+            for v, row in enumerate(rows):
+                row &= (1 << v) - 1
+                while row:
+                    bit = row & -row
+                    row ^= bit
+                    u = bit.bit_length() - 1
+                    if not rows[u] >> v & 1:
+                        raise InvalidParameterError(f"asymmetric adjacency at ({u}, {v})")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -193,24 +216,13 @@ class Graph(Record):
     def triangles(self) -> list[tuple[int, int, int]]:
         """All triangles (a, b, c) with a < b < c, lexicographically sorted."""
         edges = self.edges()
-        return [(*edges[ab], edges[bc][1]) for ab, _, bc in self.triangle_edges()]
+        return [(*edges[ab], edges[bc][1]) for ab, _, bc in _triangle_edges(self.adj, edges)]
 
     def triangle_edges(self) -> list[tuple[int, int, int]]:
         """Each triangle a < b < c, in lexicographic order, as the positions
         of its edges ab, ac, bc in ``edges()``; on ``complete(n)`` these are
         ``edge_index`` slots."""
-        adj = self.adj
-        edges = self.edges()
-        pos = {e: i for i, e in enumerate(edges)}
-        out = []
-        for ab, (a, b) in enumerate(edges):
-            common = adj[a] & adj[b] & -(2 << b)
-            while common:
-                bit = common & -common
-                common ^= bit
-                c = bit.bit_length() - 1
-                out.append((ab, pos[(a, c)], pos[(b, c)]))
-        return out
+        return _triangle_edges(self.adj, self.edges())
 
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
@@ -253,6 +265,21 @@ class Graph(Record):
             rows[pu] |= 1 << pv
             rows[pv] |= 1 << pu
         return Graph(self.n, tuple(rows))
+
+
+def _triangle_edges(adj, edges: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """:meth:`Graph.triangle_edges` of the graph with rows ``adj``, given
+    its ``edges()``, for a caller that already holds them."""
+    pos = {e: i for i, e in enumerate(edges)}
+    out = []
+    for ab, (a, b) in enumerate(edges):
+        common = adj[a] & adj[b] & -(2 << b)
+        while common:
+            bit = common & -common
+            common ^= bit
+            c = bit.bit_length() - 1
+            out.append((ab, pos[(a, c)], pos[(b, c)]))
+    return out
 
 
 # ---------------------------------------------------------------------------

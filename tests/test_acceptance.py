@@ -19,11 +19,11 @@ from gallai.containers import (build, closed_form_stats, degree_stats,
                                verify_cover)
 from gallai.counting import (Coloring, book_gallai_count, count_gallai,
                              count_gallai_naive, gallai_colorings, is_gallai,
-                             lower_bound_two_color, red_once_count,
                              scan_colorings)
 from gallai.extremal import extremal_search
 from gallai.graphs import (Graph, all_graphs, canonical_graph, complete,
                            graph6_encode, graph_from_name, max_k_partite_edges)
+from gallai.kn import lower_bound_two_color, red_once_count
 from gallai.stability import (greedy_book_family, majority_color_check, peel,
                               remove_low_degree, supersaturation_check)
 from gallai.templates import (TALLY_MODES, classify_triangles, count_ga,

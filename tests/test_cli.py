@@ -11,9 +11,9 @@ import pytest
 
 import gallai
 from gallai.cli import build_parser, load_config, main
-from gallai.counting import EXACT_BOUNDS_LIMIT
 from gallai.errors import InvalidInputError
 from gallai.graphs import Graph, edge_index
+from gallai.kn import EXACT_BOUNDS_LIMIT
 from gallai.templates import Template, pair_template, template_to_text
 
 
@@ -594,8 +594,8 @@ class TestColdStart:
         assert fresh_python(code).strip() == "False False"
 
     def test_import_builds_no_decomposition_table(self):
-        code = ("import gallai.cli, gallai.counting as c; "
-                "print(c._decomposition.cache_info().currsize)")
+        code = ("import gallai.cli, gallai.kn as k; "
+                "print(k._decomposition.cache_info().currsize)")
         assert fresh_python(code).strip() == "0"
 
     @pytest.mark.parametrize("argv", [
@@ -625,11 +625,11 @@ class TestColdStart:
 
     @pytest.mark.parametrize("argv, extra", [
         (("count", "K5", "--r", "3"), ()),
-        (("bounds", "--n", "6", "--r", "3"), ()),
+        (("bounds", "--n", "6", "--r", "3"), ("kn",)),
         (("extremal", "--n", "4", "--r", "3"), ("extremal",)),
         (("template", "rt", "TEMPLATE"), ("templates",)),
         (("template", "count-ga", "TEMPLATE"), ("templates",)),
-        (("verify-cover", "DIR", "--n", "4", "--r", "3"), ("containers", "templates")),
+        (("verify-cover", "DIR", "--n", "4", "--r", "3"), ("containers", "kn", "templates")),
         (("hypergraph", "audit", "--n", "10", "--r", "3"), ("containers", "templates")),
         (("stability", "books", "--graph", "K5"), ("stability", "templates")),
     ])
@@ -643,7 +643,8 @@ class TestColdStart:
         assert probe["modules"] == sorted([*_CORE, *(f"gallai.{m}" for m in extra)])
 
 
-# gallai.__all__ as the package exported it when it imported every module eagerly
+# gallai.__all__ as the package exported it when it imported every module
+# eagerly, plus the module kn, the K_n side split out of counting
 _EXPORTED = {
     "AsymptoticBounds", "Coloring", "GallaiError", "Graph", "InvalidInputError",
     "InvalidParameterError", "ParseError", "ResourceLimitError", "Template", "TriangleTally",
@@ -653,10 +654,11 @@ _EXPORTED = {
     "count_gallai_naive", "count_gallai_with_palettes", "counting", "cycle", "errors",
     "format_edge_list", "from_coloring", "full_template", "gallai_colorings",
     "graph6_decode", "graph6_encode", "graph_from_name", "graphs", "is_gallai",
-    "is_gallai_template", "is_subtemplate", "lovasz_triangle_bound", "lower_bound_two_color",
-    "max_k_partite_edges", "max_matching_size", "pair_template", "parse_edge_list",
-    "product_log_bound", "r_edges", "red_once_count", "rt_count", "rt_through_edge",
-    "s_deviation", "t_far", "template_from_text", "template_to_text", "templates", "weight",
+    "is_gallai_template", "is_subtemplate", "kn", "lovasz_triangle_bound",
+    "lower_bound_two_color", "max_k_partite_edges", "max_matching_size", "pair_template",
+    "parse_edge_list", "product_log_bound", "r_edges", "red_once_count", "rt_count",
+    "rt_through_edge", "s_deviation", "t_far", "template_from_text", "template_to_text",
+    "templates", "weight",
 }
 
 
@@ -696,10 +698,27 @@ print(json.dumps(wrong))
             gallai.no_such  # noqa: B018
 
     def test_submodules_import_from_the_package(self):
-        names = ["cli", "containers", "counting", "extremal", "graphs", "stability", "templates"]
+        names = ["cli", "containers", "counting", "extremal", "graphs", "kn", "stability",
+                 "templates"]
         code = (f"from gallai import {', '.join(names)}; "
                 f"print(*(m.__name__ for m in ({', '.join(names)})))")
         assert fresh_python(code).split() == [f"gallai.{name}" for name in names]
+
+    def test_no_submodule_shadows_an_exported_name(self):
+        # importing gallai.x binds the package attribute x to the module, so a
+        # submodule named like an exported function would replace it
+        code = """
+import importlib, json, pkgutil, sys, gallai
+for info in pkgutil.iter_modules(gallai.__path__):
+    importlib.import_module("gallai." + info.name)
+from gallai import complete
+from gallai.graphs import complete as constructor
+shadowed = sorted(name for name in gallai.__all__ if name not in gallai._EXPORTS
+                  and isinstance(getattr(gallai, name), type(sys)))
+print(json.dumps([shadowed, complete is constructor, gallai.complete is constructor,
+                  gallai.complete(4).edge_count]))
+"""
+        assert json.loads(fresh_python(code)) == [[], True, True, 6]
 
 
 class TestClosedStdout:

@@ -21,10 +21,10 @@ from gallai.containers import (
     template_vertices,
     verify_cover,
 )
-from gallai.counting import (Coloring, count_complete, gallai_colorings, is_gallai,
-                             lower_bound_two_color, sample_complete)
+from gallai.counting import Coloring, gallai_colorings, is_gallai
 from gallai.errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from gallai.graphs import complete
+from gallai.kn import count_complete, lower_bound_two_color, sample_complete
 from gallai.templates import (
     Template,
     from_coloring,
@@ -283,7 +283,7 @@ class TestUniformSampler:
                     if bits >> i & 1:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-                prime = gallai.counting._is_prime(adj)
+                prime = gallai.kn._is_prime(adj)
                 assert prime == brute_prime(adj)
                 found += prime
             assert found == primes

@@ -9,28 +9,31 @@ import numpy as np
 import pytest
 
 import gallai.counting
+import gallai.kn
 from conftest import assignment_is_gallai, brute_count_gallai, brute_triangles, random_graph
 from gallai.counting import (
-    COMPLETE_BITS,
-    EXACT_BOUNDS_LIMIT,
     Coloring,
-    asymptotic_bounds,
     book_gallai_count,
-    count_complete,
     count_gallai,
     count_gallai_naive,
     count_gallai_with_palettes,
     gallai_colorings,
     is_gallai,
-    lower_bound_two_color,
     max_matching_size,
-    red_once_count,
     s_deviation,
     scan_colorings,
 )
 from gallai.errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 from gallai.graphs import (Graph, all_graphs, book, complete, complete_bipartite, cycle,
                            graph_from_name)
+from gallai.kn import (
+    COMPLETE_BITS,
+    EXACT_BOUNDS_LIMIT,
+    asymptotic_bounds,
+    count_complete,
+    lower_bound_two_color,
+    red_once_count,
+)
 
 OCTAHEDRON = Graph.from_edges(
     6, [(u, v) for u in range(6) for v in range(u + 1, 6)
@@ -566,14 +569,29 @@ class TestSearchPlan:
             count_gallai_with_palettes(complete(70), [0b111] * comb(70, 2))
 
     def test_deep_component_is_refused_before_triangles_are_listed(self, monkeypatch):
-        def no_listing(graph):
+        def no_listing(*args):
             raise AssertionError("triangles listed")
 
         monkeypatch.setattr(Graph, "triangle_edges", no_listing)
+        monkeypatch.setattr(gallai.counting, "_triangle_edges", no_listing)
         with pytest.raises(ResourceLimitError, match="at least 179700 edges"):
             count_gallai(complete(600), 3)
         with pytest.raises(ResourceLimitError, match="at least 179700 edges"):
             count_gallai_with_palettes(complete(600), [0b111] * comb(600, 2))
+
+    def test_one_plan_build_lists_the_edges_once(self, monkeypatch):
+        listed = []
+        edges = Graph.edges
+
+        def counted(graph):
+            listed.append(graph)
+            return edges(graph)
+
+        monkeypatch.setattr(Graph, "edges", counted)
+        for graph in (complete(7), K4_AND_DIAMOND, cycle(5), book(3)):
+            listed.clear()
+            gallai.counting._search_plans(graph, [0b111] * graph.edge_count)
+            assert listed == [graph]
 
     def test_component_floor_bounds_the_largest_component(self):
         # exact on K_n, and never above the largest component elsewhere; a
@@ -702,15 +720,15 @@ class TestCompleteRecurrence:
         assert count_gallai(complete(8), r) == count_complete(8, r) == expected
 
     def test_prime_quotients_and_one_or_two_colors(self):
-        tables = gallai.counting._decomposition(2).grow(8)
+        tables = gallai.kn._decomposition(2).grow(8)
         assert tables.quotients[:9] == [0, 0, 0, 0, 12, 192, 10800, 970080, 161310240]
         for n in range(1, 30):
             assert count_complete(n, 2) == 2 ** comb(n, 2)
             assert count_complete(n, 1) == 1
 
     def test_tables_kept_are_bounded_and_rebuilt_when_evicted(self):
-        decomposition = gallai.counting._decomposition
-        keep = gallai.counting._DECOMPOSITION_TABLES
+        decomposition = gallai.kn._decomposition
+        keep = gallai.kn._DECOMPOSITION_TABLES
         decomposition.cache_clear()
         counts = {r: count_complete(8, r) for r in (3, 7)}
         first = decomposition(2)
@@ -882,10 +900,8 @@ class TestMatchingAndDeviation:
         for _ in range(20):
             g = random_graph(rng, 10)
             max_matching_size(g.n, g.edges())
-        # the K_n decomposition tables are the one cache kept on purpose
         held = [name for name, obj in vars(gallai.counting).items()
-                if hasattr(obj, "cache_info") and name != "_decomposition"
-                and obj.cache_info().currsize]
+                if hasattr(obj, "cache_info") and obj.cache_info().currsize]
         assert held == []
 
     def test_s_deviation(self):

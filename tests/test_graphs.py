@@ -93,6 +93,54 @@ class TestConstruction:
         assert sorted(g.degree(v) for v in range(7)) == sorted(h.degree(v) for v in range(7))
 
 
+class TestAdjacencyCheck:
+    """The constructor refuses rows that are not a simple undirected graph,
+    on sparse graphs and on those checked through their complement."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_a_lone_bit_names_its_pair(self, dense, upper):
+        # (2, 5) is no edge of C7 and an edge of K7
+        rows = list((complete if dense else cycle)(7).adj)
+        u, v = (2, 5) if upper else (5, 2)
+        if dense:
+            rows[v] ^= 1 << u
+        else:
+            rows[u] ^= 1 << v
+        with pytest.raises(InvalidParameterError, match=r"asymmetric adjacency at \(2, 5\)"):
+            Graph(7, tuple(rows))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_loop(self, dense):
+        rows = list((complete if dense else cycle)(7).adj)
+        rows[3] |= 1 << 3
+        with pytest.raises(InvalidParameterError, match="loop at vertex 3"):
+            Graph(7, tuple(rows))
+
+    @pytest.mark.parametrize("row", [1 << 7, 1 << 70 | 1, -1])
+    def test_bit_at_or_past_n(self, row):
+        rows = list(cycle(7).adj)
+        rows[4] = row
+        with pytest.raises(InvalidParameterError, match="out of range at vertex 4"):
+            Graph(7, tuple(rows))
+
+    def test_random_graphs_build_and_any_flipped_bit_is_named(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            density = rng.random()
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            g = Graph.from_edges(n, edges)
+            assert Graph(n, g.adj) == g
+            assert g.edges() == edges
+            u, v = rng.sample(range(n), 2)
+            rows = list(g.adj)
+            rows[u] ^= 1 << v
+            pair = fr"\({min(u, v)}, {max(u, v)}\)"
+            with pytest.raises(InvalidParameterError, match=f"asymmetric adjacency at {pair}"):
+                Graph(n, tuple(rows))
+
+
 class TestTriangles:
     def test_matches_bruteforce_on_random_graphs(self):
         rng = random.Random(11)

@@ -9,10 +9,10 @@ import pickle
 import pytest
 
 from gallai.containers import closed_form_stats
-from gallai.counting import asymptotic_bounds
 from gallai.errors import InvalidParameterError
 from gallai.extremal import extremal_search
 from gallai.graphs import Graph, Record, complete
+from gallai.kn import asymptotic_bounds
 from gallai.stability import greedy_book_family
 from gallai.templates import Template, classify_triangles, full_template
 
