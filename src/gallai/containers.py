@@ -226,10 +226,6 @@ class CoverCertificate(Record):
         return self.coverage.passed and self.sparsity.passed and self.size_bound.passed
 
 
-def _covered(palettes: tuple[int, ...], assignment: tuple[int, ...]) -> bool:
-    return all(mask >> (c - 1) & 1 for mask, c in zip(palettes, assignment))
-
-
 def verify_cover(family, n: int, r: int, c: float, *,
                  sample_size: int = DEFAULT_SAMPLE_SIZE, seed: int = 0,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> CoverCertificate:
@@ -256,7 +252,10 @@ def verify_cover(family, n: int, r: int, c: float, *,
             raise InvalidInputError(
                 f"family member {idx} has order {template.n} and {template.r} colors; "
                 f"expected ({n}, {r})")
-    palette_sets = [t.palettes for t in family]
+    # each template's palettes, r bits per edge, and each coloring's chosen
+    # (edge, color) bits: a coloring is covered where chosen & allowed == chosen
+    allowed = [sum(mask << r * i for i, mask in enumerate(t.palettes)) for t in family]
+    shifts = range(-1, r * comb(n, 2), r)
 
     if n <= 4:
         mode = "exhaustive"
@@ -269,7 +268,8 @@ def verify_cover(family, n: int, r: int, c: float, *,
     for assignment in colorings:
         checked += 1
         three_color += len(set(assignment)) >= 3
-        if not any(_covered(p, assignment) for p in palette_sets):
+        chosen = sum(1 << shift + c for shift, c in zip(shifts, assignment))
+        if not any(chosen & mask == chosen for mask in allowed):
             witness = {"coloring": dict(zip(edge_pairs(n), assignment))}
             break
     coverage = PropertyReport("coverage", witness is None, checked, witness)

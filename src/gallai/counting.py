@@ -224,13 +224,12 @@ class _StarTable:
     The star edges e_0..e_{s-1} share a vertex v, and bit j of a row stands
     for the coloring of the star whose digit i, in the mixed radix
     ``radix`` of the palette sizes, picks color ``choices[i][digit]`` of
-    e_i.  ``rows(i)`` holds, keyed by a color mask, the row of the
-    colorings whose e_i takes a color of the mask; ``doms`` pairs each e_i
-    that the prefix narrows with those rows, to be keyed by its candidates.
-    Two star edges va and vb share only the triangle vab, and ``pair(i,
-    j)`` gives its row for a color bit of ab: the colorings that leave vab
-    not rainbow.  The live colorings under a colored prefix are the bits
-    set in ``ones`` and in every row that its candidates and colors select.
+    e_i.  ``rows(i, ...)`` holds, keyed by a color mask, the row of the
+    colorings whose e_i takes a color of the mask.  Two star edges va and
+    vb share only the triangle vab, and ``pair(i, j)`` gives its row for a
+    color bit of ab: the colorings that leave vab not rainbow.  The live
+    colorings under a colored prefix are the bits set in ``ones`` and in
+    every row that its candidates and colors select.
 
     A prefix that used the colors below k may give the star new colors only
     in canonical order, the rule the search branches by.  ``fresh[k]`` lists
@@ -241,9 +240,9 @@ class _StarTable:
     A star of no edges has one coloring, ``ones`` = 1.
     """
 
-    __slots__ = ("ones", "width", "choices", "radix", "single", "doms", "fresh")
+    __slots__ = ("ones", "width", "choices", "radix", "single", "fresh")
 
-    def __init__(self, star: list[int], masks: list[int], narrowed: set[int]):
+    def __init__(self, star: list[int], masks: list[int]):
         choices = []
         radix = []
         size = 1
@@ -265,7 +264,12 @@ class _StarTable:
         # repeats once per period of the digit
         single = []
         for bits, low in zip(choices, radix):
-            run = ((1 << low) - 1) * (ones // ((1 << low * len(bits)) - 1))
+            period = low * len(bits)
+            run = (1 << low) - 1
+            while period < size:
+                run |= run << period
+                period <<= 1
+            run &= ones
             rows = {}
             for bit in bits:
                 rows[bit] = run
@@ -305,11 +309,11 @@ class _StarTable:
         self.choices = choices
         self.radix = radix
         self.single = single
-        self.doms = [(e, self.rows(i)) for i, e in enumerate(star) if e in narrowed]
         self.fresh = _Memo(new_colors)
 
-    def rows(self, i: int) -> _Memo:
-        """Rows of the colorings whose e_i takes a color of the key mask."""
+    def rows(self, i: int, shift: int, rest: int) -> _Memo:
+        """Rows of the colorings whose e_i takes a color of the key mask,
+        shifted ``shift`` bits and ORed with ``rest``."""
         single = self.single[i]
 
         def digits(colors: int) -> int:
@@ -317,7 +321,7 @@ class _StarTable:
             for bit, row in single.items():
                 if colors & bit:
                     block |= row
-            return block
+            return block << shift | rest
 
         return _Memo(digits)
 
@@ -342,44 +346,46 @@ class _StarTable:
 class _ComponentPlan:
     """Search plan for one triangle-connected component that has a triangle.
 
-    The search branches on ``order[:leaf_start]``, narrowing by ``narrow``,
-    and ends there in one leaf that counts the last two stars of the order,
-    A = order[leaf_start:star_start] and B = order[star_start:], in one
-    step.  One rule grows both stars backwards, B from the end of the order
-    and A from B, one edge at a time: an edge joins while the star's edges
+    The order is a head, order[:starts[0]], that the search branches on
+    edge by edge, and a chain of star blocks, block j being
+    order[starts[j]:starts[j + 1]].  One rule grows the blocks backwards,
+    each from the start of the one after it (the last from the end of the
+    order), until it finds no edge: an edge joins while the block's edges
     share a vertex, their palette sizes multiply to at most
     ``_STAR_TABLE_BITS`` and no triangle through it has one edge past the
-    star and one before the edge, which holds for every edge of B.  Either
-    star may be empty: B when the last edge's palette alone is wider than a
-    table, A when the edge before B closes a triangle with B and an earlier
-    edge.  ``count_gallai`` plans with full palettes of its window's width,
-    so its stars hold up to log_width(_STAR_TABLE_BITS) edges.
+    block and one before the edge.  The last two blocks, A and B, are
+    always there; B is empty when the last edge's palette alone is wider
+    than a table, A when the edge before B closes a triangle with B and an
+    earlier edge.  ``count_gallai`` plans with full palettes of its window's
+    width; on K7 at r = 3 and 4 every vertex star is a block and the head
+    is empty.  So a triangle lies in the head, or has two head edges and a
+    block edge, whose candidates the head narrows, or has two edges in one
+    block and its third edge earlier, whose color selects the block's pair
+    row of the triangle: a triangle with its middle edge in a block and its
+    last past it would have stopped the block.  A block is a star, so an
+    edge selects at most one row of each block.
 
-    So no triangle holds a prefix edge, an edge of A and an edge of B, and
-    none holds two edges of A and one of B: when the later of the two A
-    edges joined A, the earlier one still lay before it.  What ties A to B
-    is B's pair rows keyed by the colors of A's edges, which depend on A's
-    coloring j alone; ``cross[j]`` is their AND, and ``cross`` is None when
-    no triangle holds edges of both, A empty among them.  ``star`` holds B's
-    tables, ``lead`` A's, and ``levels[k]`` the new-color rows of both stars
-    at level k: (M_{k,t} of A, [(k + t + u, M_{k+t,u} of B), ...]) for each
-    t.  From level ``window`` on, past both stars' palettes, that list is
-    the one pair of all colorings.
-
-    The live colorings of both stars travel as one int: B's row shifted
-    ``shift`` bits, A's width, above A's row, starting from ``live``, all
-    of both.  A prefix edge's color selects at most one pair row of each
-    star, of the triangle it closes with the star's vertex, and
-    ``keys[pos]`` holds, keyed by the color bit of order[pos], those two
-    rows packed the same way, all of a star that the edge keys no row of;
-    it is None where the edge keys neither.  All are built with the plan;
-    the rows of ``keys``, ``cross``, ``levels`` and the tables are filled
-    in the first time the search reads them, and live as long as the plan:
-    one call.
+    The blocks' live colorings travel as one int, block j's row
+    ``offsets[j]`` bits up, starting from ``live``, all of every block;
+    frame j is that int with the blocks before j shifted out, and
+    ``tops[j]`` the least int of frame j that leaves B a coloring.
+    ``steps[pos]`` is (edge, pairs, keys, last) for head position pos: the
+    (f, g) whose g its color narrows with f's, the rows each color bit
+    selects packed in frame 0, all of a block where it selects none (None
+    if it selects none at all), and whether it is the head's last edge.
+    ``doms`` pairs each block edge that the head narrows with its rows,
+    keyed by its candidates and packed the same way.  ``cross[j][s]`` is
+    the AND of the rows that coloring s of block j selects, in frame j + 1,
+    or None where block j selects none.  ``leaf`` is (A's width, A's
+    colorings, A's cross rows, window), and ``levels[k]`` holds the
+    new-color rows of A and B at level k: (M_{k,t} of A, [(k + t + u,
+    M_{k+t,u} of B), ...]) for each t, from level ``window`` on the one
+    pair of all colorings.  Rows are filled in the first time the search
+    reads them, except A's cross rows in a chain, and live for one call.
     """
 
-    __slots__ = ("order", "narrow", "leaf_start", "star_start", "star", "lead", "shift",
-                 "live", "keys", "window", "cross", "levels")
+    __slots__ = ("order", "starts", "tables", "steps", "live", "doms", "cross", "tops", "leaf",
+                 "levels")
 
     def __init__(self, comp: list[int], tri_of_edge: list[list[tuple[int, int]]],
                  ends: list[tuple[int, int]], masks: list[int]):
@@ -410,7 +416,7 @@ class _ComponentPlan:
             pos[e] = i
 
         def grow(stop: int) -> int:
-            """Start of the star that ends at ``stop``, grown by the rule above."""
+            """Start of the block that ends at ``stop``, grown by the rule above."""
             common = -1
             bits = 1
             start = stop
@@ -429,12 +435,21 @@ class _ComponentPlan:
                 start = i
             return start
 
-        star_start = grow(len(order))
-        leaf_start = grow(star_start)
-        # the search narrows only at the positions it branches on
-        narrow: list[tuple[tuple[int, int], ...]] = []
+        # B and A, then more blocks while the rule finds an edge
+        start = grow(len(order))
+        starts = [len(order), start, grow(start)]
+        while starts[-1] < starts[-2]:
+            start = grow(starts[-1])
+            if start == starts[-1]:
+                break
+            starts.append(start)
+        starts.reverse()
+        head = starts[0]
+        # the search narrows only at the positions it branches on; steps[i]
+        # gets its keys below
+        steps = []
         narrowed = set()
-        for i, e in enumerate(order[:leaf_start]):
+        for i, e in enumerate(order[:head]):
             pairs = []
             for f, g in tri_of_edge[e]:
                 pf, pg = pos[f], pos[g]
@@ -444,65 +459,104 @@ class _ComponentPlan:
                 elif pg < i < pf:
                     pairs.append((g, f))
                     narrowed.add(f)
-            narrow.append(tuple(pairs))
-        self.order = order
-        self.narrow = narrow
-        self.star_start = star_start
-        self.leaf_start = leaf_start
-        self.star = star = _StarTable(order[star_start:], masks, narrowed)
-        self.lead = lead = _StarTable(order[leaf_start:star_start], masks, narrowed)
+            steps.append((e, tuple(pairs), None, i + 1 == head))
+        tables = []
+        offsets = [0]
+        for start, stop in zip(starts, starts[1:]):
+            tables.append(_StarTable(order[start:stop], masks))
+            offsets.append(offsets[-1] + tables[-1].ones.bit_length())
+        full = (1 << offsets[-1]) - 1
 
-        def pairs_of(start: int, stop: int):
-            """(i, j, third edge) for each triangle through edges i < j of
-            the star order[start:stop]; its third edge comes before both."""
-            for i in range(start, stop):
-                for f, g in tri_of_edge[order[i]]:
-                    if pos[g] > pos[f]:
-                        f, g = g, f
-                    if i < pos[f] < stop:
-                        yield i - start, pos[f] - start, g
-
-        # a triangle through two edges of B has its third edge in the prefix
-        # or in A, where B's pair rows are keyed by that edge's digit; one
-        # through two edges of A has it in the prefix.  A star at v has one
-        # triangle through ab, vab, so a prefix edge keys at most one pair
-        # row of each star: sides[position] = [B's, A's]
+        # sides[p]: (offset, ones, pair rows) of each block in which the edge
+        # at position p keys a row, as the third edge of a triangle through
+        # two edges of the block
         sides: dict[int, list] = {}
-        keyed = []
-        for i, j, ab in pairs_of(star_start, len(order)):
-            rows = star.pair(i, j)
-            if pos[ab] < leaf_start:
-                sides[pos[ab]] = [rows, None]
+        doms = []
+        for table, start, stop, offset in zip(tables, starts, starts[1:], offsets):
+            for i in range(start, stop):
+                e = order[i]
+                if e in narrowed:
+                    doms.append((e, table.rows(i - start, offset, full ^ table.ones << offset)))
+                for f, g in tri_of_edge[e]:
+                    pf, pg = pos[f], pos[g]
+                    if pg > pf:
+                        pf, pg = pg, pf
+                    if i < pf < stop:
+                        sides.setdefault(pg, []).append(
+                            (offset, table.ones, table.pair(i - start, pf - start)))
+
+        def packed(rows: list, base: int) -> _Memo:
+            """One edge's rows keyed by its color bit, in the frame that
+            starts at bit ``base``: all of a block where it keys no row."""
+            if base == offsets[-2]:
+                # the frame is B alone, which the edge keys
+                return _Memo(rows[0][2])
+
+            def key(color: int) -> int:
+                found = full >> base
+                for offset, ones, row in rows:
+                    found ^= (ones ^ row(color)) << offset - base
+                return found
+
+            return _Memo(key)
+
+        def admits(above: int, table: _StarTable, keyed: list) -> _Memo:
+            choices, radix = table.choices, table.radix
+
+            def admitted(j: int) -> int:
+                row = above
+                for i, rows in keyed:
+                    bits = choices[i]
+                    row &= rows[bits[j // radix[i] % len(bits)]]
+                return row
+
+            return _Memo(admitted)
+
+        for p, rows in sides.items():
+            if p < head:
+                e, pairs, _, last = steps[p]
+                steps[p] = (e, pairs, packed(rows, 0), last)
+        cross: list = []
+        for a, table in enumerate(tables[:-1]):
+            base = offsets[a + 1]
+            keyed = [(i, packed(sides[p], base))
+                     for i, p in enumerate(range(starts[a], starts[a + 1])) if p in sides]
+            if not keyed:
+                cross.append(None)
+            elif a + 2 < len(tables) or len(tables) == 2:
+                # each row built the first time it is read: a two-block plan
+                # reads A's rows once per leaf, and the symmetric search reads
+                # few rows of the early blocks
+                cross.append(admits(full >> base, table, keyed))
             else:
-                a = pos[ab] - leaf_start
-                keyed.append((lead.choices[a], lead.radix[a], _Memo(rows)))
-        for i, j, ab in pairs_of(leaf_start, star_start):
-            sides.setdefault(pos[ab], [None, None])[1] = lead.pair(i, j)
-        shift = lead.ones.bit_length()
-
-        def packed(high, low) -> _Memo:
-            """One prefix edge's rows keyed by its color bit: B's shifted
-            above A's, all of a star where it keys no row."""
-            return _Memo(lambda color: (high(color) if high else star.ones) << shift
-                         | (low(color) if low else lead.ones))
-
-        def admitted(j: int) -> int:
-            row = star.ones
-            for bits, low, rows in keyed:
-                row &= rows[bits[j // low % len(bits)]]
-            return row
+                # A in a chain is read at every leaf: all its rows at once,
+                # digit by digit from the last edge, one AND per row
+                by_digit = dict(keyed)
+                found = [full >> base]
+                for i in reversed(range(len(table.choices))):
+                    rows = by_digit.get(i)
+                    if rows is None:
+                        found = [row for row in found for _ in table.choices[i]]
+                    else:
+                        picks = [rows[bit] for bit in table.choices[i]]
+                        found = [row & pick for row in found for pick in picks]
+                cross.append(found)
+        cross.append(None)
+        lead, star = tables[-2:]
 
         def level(k: int) -> list[tuple[int, list[tuple[int, int]]]]:
-            return [(head, [(w, row) for w, row in enumerate(star.fresh[t], t) if row])
-                    for t, head in enumerate(lead.fresh[k], k) if head]
+            return [(first, [(w, row) for w, row in enumerate(star.fresh[t], t) if row])
+                    for t, first in enumerate(lead.fresh[k], k) if first]
 
-        self.shift = shift
-        self.live = star.ones << shift | lead.ones
-        self.keys = [None] * leaf_start
-        for p, (high, low) in sides.items():
-            self.keys[p] = packed(high, low)
-        self.window = max(star.width, lead.width)
-        self.cross = _Memo(admitted) if keyed else None
+        self.order = order
+        self.starts = starts
+        self.tables = tables
+        self.steps = steps
+        self.live = full
+        self.doms = doms
+        self.cross = cross
+        self.tops = list(map((1 << offsets[-2]).__rshift__, offsets[:-1]))
+        self.leaf = (offsets[-2] - offsets[-3], lead.ones, cross[-2], max(star.width, lead.width))
         self.levels = _Memo(level)
 
 
@@ -518,30 +572,36 @@ class _Searcher:
     unassigned third edges of its triangles to the two colors already present,
     so a branch dies the moment a rainbow triangle becomes unavoidable.
 
-    Level k of ``run(pos, k)`` is the number of colors the prefix has used.
+    Level k of the search is the number of colors the prefix has used.
     While k is inside the new-color window, an edge may take a color already
     used or the lowest one not yet used, bit k; every other color would only
     relabel the same coloring.  A palette search starts past the window with
     weight 1, so it sees every candidate as given.
 
-    ``run(pos, k, live)`` carries the stars' live colorings down the
-    prefix as the plan's packed int: a child ANDs the one entry of
-    ``keys[pos]`` for its color, and a child whose B half is then empty has
-    no coloring to count and is cut before its narrowing.  Every search
-    ends at its plan's ``leaf_start`` with one leaf that counts the
-    colorings of its two stars under the colored prefix.  It splits the int
-    into L, B's live colorings, and V, A's, and ANDs in only the rows of
-    the star edges whose candidates the prefix narrowed; the count is the
-    sum over s in V of popcount(L & cross[s]), or |V| popcount(L) with no
-    cross rows.  Past the window every coloring has weight ``weight[k]``,
-    which multiplies that sum once.  Inside it, split by new colors, A's
-    rows M_{k,t} pick the s that open t colors and B's rows M_{k+t,u} the
-    completions that open u more, and each (t, u) sum is multiplied once by
-    ``weight[k + t + u]``.  Every color tried at a branching level costs
-    one node, charged before the colors are tried, so a cut child has cost
-    its node; a leaf costs one node per s in V that it sums, and at least
-    one, charged once it has summed.  One meter covers every component of
-    the call.
+    ``run(pos, k, live)`` branches on the head and carries the blocks' live
+    colorings down it as the plan's packed int: a child ANDs its color's
+    entry of the step's keys, and a child whose B half is then empty has no
+    coloring to count and is cut before its narrowing.  A child of the
+    head's last edge ANDs in the ``doms`` rows.  ``walk(j, k, live)`` then
+    iterates block j's live colorings s, inside the window by the block's
+    rows M_{k,t}, and gives each child the rest of the int ANDed with
+    ``cross[j][s]``, at level k + t, cut as above.  The children of the
+    block before A, or of the head's last edge in a plan of two blocks, are
+    leaves, which ``sum_leaves`` counts together.  A leaf splits its int
+    into L, B's live colorings, and V, A's; its count is the sum over s in
+    V of popcount(L & cross[s]), or |V| popcount(L) with no cross rows.
+    Past the window every coloring has weight ``weight[k]``, which
+    multiplies that sum once.  Inside it, A's rows M_{k,t} pick the s that
+    open t colors and B's rows M_{k+t,u} the completions that open u more,
+    and each (t, u) sum is multiplied once by ``weight[k + t + u]``.
+
+    Every color tried at a branching level costs one node, charged before
+    the colors are tried, so a cut child has cost its node.  A block before
+    A costs one node per live coloring that it iterates, and at least one,
+    charged before it iterates.  A leaf costs one node per s in V that it
+    sums, and at least one, charged once its batch is summed.  So chaining
+    changes node totals only in plans of three blocks or more.  One meter
+    covers every component of the call.
     """
 
     __slots__ = ("plan", "cand", "colors", "meter", "weight")
@@ -560,69 +620,27 @@ class _Searcher:
         total = 1
         for plan in plans:
             self.plan = plan
-            total *= self.run(0, start, plan.live)
+            if plan.steps:
+                total *= self.run(0, start, plan.live)
+            elif len(plan.tables) > 2:
+                total *= self.walk(0, start, plan.live)
+            else:
+                total *= self.sum_leaves([(start, plan.live)])
             if total == 0:
                 return 0
         return total
 
     def run(self, pos: int, k: int, live: int) -> int:
+        """The count under the colored prefix order[:pos] of the head.  At
+        the head's last edge each child ANDs in the rows of the narrowed
+        block edges and starts the chain, or, in a plan of two blocks, is
+        a leaf, summed with its siblings."""
         plan = self.plan
         cand = self.cand
-        meter = self.meter
-        if pos == plan.leaf_start:
-            tail = live >> plan.shift
-            for e, dom in plan.star.doms:
-                tail &= dom[cand[e]]
-            lead = plan.lead
-            live &= lead.ones
-            for e, dom in lead.doms:
-                live &= dom[cand[e]]
-            total = 0
-            nodes = 0
-            if tail and live:
-                cross = plan.cross
-                weight = self.weight
-                if k >= plan.window:
-                    # every coloring of both stars has weight[k]
-                    nodes = live.bit_count()
-                    if cross is None:
-                        found = nodes * tail.bit_count()
-                    else:
-                        found = 0
-                        while live:
-                            low = live & -live
-                            live ^= low
-                            found += (tail & cross[low.bit_length() - 1]).bit_count()
-                    total = weight[k] * found
-                else:
-                    for head, rows in plan.levels[k]:
-                        head &= live
-                        if not head:
-                            continue
-                        size = head.bit_count()
-                        nodes += size
-                        if cross is None:
-                            for w, row in rows:
-                                total += weight[w] * size * (tail & row).bit_count()
-                            continue
-                        parts = []
-                        while head:
-                            low = head & -head
-                            head ^= low
-                            parts.append(tail & cross[low.bit_length() - 1])
-                        for w, row in rows:
-                            found = 0
-                            for part in parts:
-                                found += (part & row).bit_count()
-                            total += weight[w] * found
-            meter[0] -= nodes or 1
-            if meter[0] < 0:
-                raise _exhausted(meter)
-            return total
         colors = self.colors
-        e = plan.order[pos]
-        pairs = plan.narrow[pos]
-        keys = plan.keys[pos]
+        meter = self.meter
+        e, pairs, keys, last = plan.steps[pos]
+        leaves = []
         total = 0
         fresh = 1 << k
         mask = cand[e] & ((fresh << 1) - 1)
@@ -630,7 +648,7 @@ class _Searcher:
         if meter[0] < 0:
             raise _exhausted(meter)
         # the child's B half is empty when its int is below this
-        top = 1 << plan.shift
+        top = plan.tops[0]
         child = live
         while mask:
             bit = mask & -mask
@@ -653,9 +671,111 @@ class _Searcher:
                     trail.append((g, old))
                     cand[g] = new
             else:
-                total += self.run(pos + 1, k + 1 if bit == fresh else k, child)
+                w = k + 1 if bit == fresh else k
+                if not last:
+                    total += self.run(pos + 1, w, child)
+                else:
+                    ended = child
+                    for f, dom in plan.doms:
+                        ended &= dom[cand[f]]
+                    if len(plan.tables) > 2:
+                        total += self.walk(0, w, ended)
+                    else:
+                        leaves.append((w, ended))
             for g, old in trail:
                 cand[g] = old
+        if leaves:
+            total += self.sum_leaves(leaves)
+        return total
+
+    def walk(self, j: int, k: int, live: int) -> int:
+        """The count from block j on under ``live``, the int of block j's
+        frame; the children of the block before A are leaves, summed
+        together."""
+        plan = self.plan
+        table = plan.tables[j]
+        row = live & table.ones
+        rest = live >> table.ones.bit_length()
+        heads = []
+        nodes = 0
+        for w, first in enumerate(table.fresh[k], k):
+            first &= row
+            if first:
+                heads.append((w, first))
+                nodes += first.bit_count()
+        meter = self.meter
+        meter[0] -= nodes or 1
+        if meter[0] < 0:
+            raise _exhausted(meter)
+        cross = plan.cross[j]
+        top = plan.tops[j + 1]
+        more = j + 3 < len(plan.tables)
+        total = 0
+        leaves = []
+        for w, first in heads:
+            while first:
+                low = first & -first
+                first ^= low
+                child = rest if cross is None else rest & cross[low.bit_length() - 1]
+                if child < top:
+                    continue
+                if more:
+                    total += self.walk(j + 1, w, child)
+                else:
+                    leaves.append((w, child))
+        return self.sum_leaves(leaves) if leaves else total
+
+    def sum_leaves(self, leaves: list[tuple[int, int]]) -> int:
+        """The counts of A and B under each (level, int of A's frame)."""
+        plan = self.plan
+        shift, lead, cross, window = plan.leaf
+        weight = self.weight
+        total = 0
+        spent = 0
+        for k, live in leaves:
+            # L, B's live colorings, and V, A's
+            tail = live >> shift
+            live &= lead
+            nodes = 0
+            if tail and live:
+                if k >= window:
+                    # every coloring of both stars has weight[k]
+                    nodes = live.bit_count()
+                    if cross is None:
+                        found = nodes * tail.bit_count()
+                    else:
+                        found = 0
+                        while live:
+                            low = live & -live
+                            live ^= low
+                            found += (tail & cross[low.bit_length() - 1]).bit_count()
+                    total += weight[k] * found
+                else:
+                    for first, rows in plan.levels[k]:
+                        first &= live
+                        if not first:
+                            continue
+                        size = first.bit_count()
+                        nodes += size
+                        if cross is None:
+                            for w, row in rows:
+                                total += weight[w] * size * (tail & row).bit_count()
+                            continue
+                        parts = []
+                        while first:
+                            low = first & -first
+                            first ^= low
+                            parts.append(tail & cross[low.bit_length() - 1])
+                        for w, row in rows:
+                            found = 0
+                            for part in parts:
+                                found += (part & row).bit_count()
+                            total += weight[w] * found
+            spent += nodes or 1
+        meter = self.meter
+        meter[0] -= spent
+        if meter[0] < 0:
+            raise _exhausted(meter)
         return total
 
 
@@ -728,15 +848,19 @@ def count_gallai_with_palettes(graph: Graph, palette_masks, *,
 
     The same search as :func:`count_gallai`, without the new-color window.
     An edge in no triangle is free: it takes no part in the search and
-    multiplies the count by its palette size.  Every other component's search
-    ends in one leaf over its last two stars: runs of edges at one vertex
-    whose palette sizes multiply to at most ``_STAR_TABLE_BITS``.  Their
-    truth tables are built once per call, and the leaf counts the stars'
-    colorings under a colored prefix from ANDs and popcounts of table rows:
-    the rows that the prefix's colors select are ANDed in on the way down,
-    one per branch, and a branch that leaves the last star no coloring is
-    cut.  The leaf costs one node per coloring of the first star that it
-    sums.  node_budget bounds the search nodes of the whole call.
+    multiplies the count by its palette size.  Every other component's
+    order ends in a chain of stars: runs of edges at one vertex whose
+    palette sizes multiply to at most ``_STAR_TABLE_BITS``, found backwards
+    from the end of the order for as long as the triangles allow.  The
+    search branches edge by edge on what comes before the chain, then
+    walks the chain one star at a time, iterating each star's live
+    colorings, and ends in one leaf over the last two stars.  The stars'
+    truth tables are built once per call, and the rows that a coloring
+    selects in later stars are ANDed in on the way down, one per branch or
+    star coloring; a branch that leaves the last star no coloring is cut.
+    A star before the last two costs one node per live coloring that it
+    iterates, and the leaf one per coloring of the first of its stars that
+    it sums.  node_budget bounds the search nodes of the whole call.
     """
     masks = list(palette_masks)
     m = graph.edge_count
@@ -766,10 +890,10 @@ def count_gallai(graph: Graph, r: int, *, node_budget: int = DEFAULT_NODE_BUDGET
     by the falling factorial (r)_k.  The search therefore never looks at more
     than min(r, e) colors, and a huge r costs no more than a small one.  An
     edge in no triangle is free: it takes no part in the search and keeps all
-    r choices.  As in :func:`count_gallai_with_palettes`, each search ends in
-    one leaf over its last two stars, whose truth tables hold full palettes
-    of min(r, e) colors; the leaf weighs the stars' colorings by the new
-    colors they open.  node_budget bounds the search nodes of the whole call.
+    r choices.  As in :func:`count_gallai_with_palettes`, each search walks
+    a chain of stars, whose truth tables hold full palettes of min(r, e)
+    colors, and weighs the stars' colorings by the new colors they open.
+    node_budget bounds the search nodes of the whole call.
     """
     if r < 1:
         raise InvalidParameterError("need r >= 1")

@@ -270,15 +270,20 @@ class Graph(Record):
 def _triangle_edges(adj, edges: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
     """:meth:`Graph.triangle_edges` of the graph with rows ``adj``, given
     its ``edges()``, for a caller that already holds them."""
-    pos = {e: i for i, e in enumerate(edges)}
+    # the position of edge ab, a < b, keyed by a * n + b
+    n = len(adj)
+    at = {a * n + b: i for i, (a, b) in enumerate(edges)}
     out = []
     for ab, (a, b) in enumerate(edges):
         common = adj[a] & adj[b] & -(2 << b)
-        while common:
-            bit = common & -common
-            common ^= bit
-            c = bit.bit_length() - 1
-            out.append((ab, pos[(a, c)], pos[(b, c)]))
+        if common:
+            a *= n
+            b *= n
+            while common:
+                bit = common & -common
+                common ^= bit
+                c = bit.bit_length() - 1
+                out.append((ab, at[a + c], at[b + c]))
     return out
 
 

@@ -104,10 +104,17 @@ def _distinct_triples(a: int, b: int, c: int) -> int:
 
 
 def rt_count(template: Template) -> int:
-    """Number of rainbow triangles realizable inside the template."""
+    """Number of rainbow triangles realizable inside the template: the sum
+    of :func:`_distinct_triples` over the triangles, inlined."""
     pal = template.palettes
-    return sum(_distinct_triples(pal[a], pal[b], pal[c])
-               for a, b, c in complete(template.n).triangle_edges())
+    size = template.sizes()
+    total = 0
+    for a, b, c in complete(template.n).triangle_edges():
+        x, y, z = pal[a], pal[b], pal[c]
+        sx, sy, sz = size[a], size[b], size[c]
+        total += (sx * sy * sz - (x & y).bit_count() * sz - (x & z).bit_count() * sy
+                  - (y & z).bit_count() * sx + 2 * (x & y & z).bit_count())
+    return total
 
 
 def rt_through_edge(template: Template, u: int, v: int) -> int:
@@ -157,9 +164,9 @@ class TriangleTally(Record):
         return sum(v for _, v in self.counts)
 
 
-def _classify_complete(sizes, masks) -> str:
+def _classify_complete(sizes, equal: bool) -> str:
     s1, s2, s3 = sorted(sizes)
-    if s1 + s2 + s3 == 6 and masks[0] == masks[1] == masks[2]:
+    if s1 + s2 + s3 == 6 and equal:
         return "T1"
     if s3 >= 3:
         return "T2"
@@ -170,10 +177,10 @@ def _classify_complete(sizes, masks) -> str:
     return "T5"
 
 
-def _classify_dense_generic(sizes, masks) -> str:
+def _classify_dense_generic(sizes, equal: bool) -> str:
     s1, s2, s3 = sorted(sizes)
     total = s1 + s2 + s3
-    if total == 6 and masks[0] == masks[1] == masks[2]:
+    if total == 6 and equal:
         return "T1"
     if s1 == 0 and s2 >= 3:
         return "T2"
@@ -184,10 +191,10 @@ def _classify_dense_generic(sizes, masks) -> str:
     return "T5"
 
 
-def _classify_dense4(sizes, masks) -> str:
+def _classify_dense4(sizes, equal: bool) -> str:
     s1, s2, s3 = sorted(sizes)
     total = s1 + s2 + s3
-    if total == 6 and masks[0] == masks[1] == masks[2]:
+    if total == 6 and equal:
         return "T1"
     if s1 == 0:
         return "T2"
@@ -203,8 +210,9 @@ def classify_triangles(template: Template, mode: str) -> TriangleTally:
 
     Classes are tested in the order T1..T5 and each triangle lands in the
     first class it matches, so the tallies always sum to C(n,3).  A class
-    depends only on the triangle's three palettes, so each distinct triple
-    of palettes is classified once and counted as often as it occurs.
+    depends only on the triangle's sorted palette sizes and on whether its
+    three palettes are equal, so triangles are tallied by those and each
+    tally is classified once.
     """
     if mode not in TALLY_MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}; expected one of {TALLY_MODES}")
@@ -216,11 +224,16 @@ def classify_triangles(template: Template, mode: str) -> TriangleTally:
         "dense4": _classify_dense4,
     }[mode]
     pal = template.palettes
-    triangles = complete(template.n).triangle_edges()
-    triples = Counter((pal[a], pal[b], pal[c]) for a, b, c in triangles)
+    # a triangle's key: its three palette sizes as base-32 digit counts,
+    # doubled, plus whether its three masks are equal
+    digit = [1 << 5 * size for size in template.sizes()]
+    keys = Counter((digit[a] + digit[b] + digit[c]) << 1 | (pal[a] == pal[b] == pal[c])
+                   for a, b, c in complete(template.n).triangle_edges())
     tally = {label: 0 for label in ("T1", "T2", "T3", "T4", "T5")}
-    for masks, count in triples.items():
-        tally[classify(tuple(m.bit_count() for m in masks), masks)] += count
+    for key, count in keys.items():
+        sizes = tuple(size for size in range(MAX_COLORS + 1)
+                      for _ in range(key >> 1 + 5 * size & 31))
+        tally[classify(sizes, bool(key & 1))] += count
     result = TriangleTally(mode, tuple(tally.items()))
     assert result.total() == comb(template.n, 3)
     return result

@@ -23,7 +23,7 @@ from gallai.containers import (
 )
 from gallai.counting import Coloring, gallai_colorings, is_gallai
 from gallai.errors import InvalidInputError, InvalidParameterError, ResourceLimitError
-from gallai.graphs import complete
+from gallai.graphs import complete, edge_pairs
 from gallai.kn import count_complete, lower_bound_two_color, sample_complete
 from gallai.templates import (
     Template,
@@ -226,6 +226,24 @@ class TestVerifyCover:
         assert a.mode == "sampled"
         assert a.three_color_checked == 1
         assert len(set(a.coverage.witness["coloring"].values())) == 3
+
+    def test_sampled_witness_is_the_first_draw_the_per_edge_check_misses(self):
+        # the third color only on the edges at vertex 0, 1 or 2: the family
+        # covers some three-color colorings of K5 and misses others
+        pairs = edge_pairs(5)
+        family = [Template(5, 3, tuple(0b111 if x in (u, v) else 1 << i | 1 << j
+                                       for u, v in pairs))
+                  for x in range(3) for i, j in itertools.combinations(range(3), 2)]
+        cert = verify_cover(family, 5, 3, c=648000.0, sample_size=200, seed=3)
+        for checked, draw in enumerate(sample_complete(5, 3, 200, random.Random(3)), 1):
+            if not any(all(t.palette(u, v) >> (c - 1) & 1 for (u, v), c in zip(pairs, draw))
+                       for t in family):
+                break
+        assert cert.mode == "sampled"
+        assert cert.coverage.witness == {"coloring": dict(zip(pairs, draw))}
+        assert cert.coverage.checked == checked
+        # three-color draws were covered before one was missed
+        assert cert.three_color_checked > 10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_color_family_fails_at_order_ten(self, seed):

@@ -169,7 +169,7 @@ class TestOracleEquivalence:
         search_plans = gallai.counting._search_plans
         monkeypatch.setattr(gallai.counting, "_search_plans", recording_plans)
         rng = random.Random(71)
-        seen = {"components": 0, "new colors read": 0, "naive": 0}
+        seen = {"components": 0, "new colors read": 0, "chain colors read": 0, "naive": 0}
         for trial in range(180):
             if trial % 3:
                 g = random_graph(rng, rng.randint(3, 6))
@@ -181,17 +181,22 @@ class TestOracleEquivalence:
             seen["components"] += len(plans) >= 2
             # rows M_{k,t} exist only for levels k below the star's window
             seen["new colors read"] += any(
-                any(k < plan.star.width for k in plan.star.fresh) for plan in plans)
+                any(k < plan.tables[-1].width for k in plan.tables[-1].fresh) for plan in plans)
+            # a star before A walked inside the window
+            seen["chain colors read"] += any(
+                any(k < table.width for k in table.fresh)
+                for plan in plans for table in plan.tables[:-2])
             with monkeypatch.context() as patch:
                 # no star fits one table bit, so the search branches on every edge
                 patch.setattr(gallai.counting, "_STAR_TABLE_BITS", 1)
                 assert count == count_gallai(g, r)
-                assert all(plan.leaf_start == len(plan.order) for plan in plans)
+                assert all(plan.starts[0] == len(plan.order) for plan in plans)
             if r**g.edge_count <= 10**6:
                 assert count == count_gallai_naive(g, r)
                 seen["naive"] += 1
         assert seen["components"] >= 10
         assert seen["new colors read"] >= 50
+        assert seen["chain colors read"] >= 20
         assert seen["naive"] >= 100
 
     def test_isolated_vertices_and_empty_graph(self):
@@ -285,7 +290,7 @@ class TestGenerators:
         # both components end in a star that the tables count
         plans, free = gallai.counting._search_plans(K4_AND_DIAMOND, [0b1111] * 11)
         assert len(plans) == 2 and not free
-        assert all(plan.star_start < len(plan.order) for plan in plans)
+        assert all(plan.starts[-2] < len(plan.order) for plan in plans)
 
         def count(graph, budget):
             return count_gallai(graph, 4, node_budget=budget)
@@ -305,7 +310,7 @@ class TestGenerators:
         # both components end in a star that the tables count
         plans, free = gallai.counting._search_plans(K4_AND_DIAMOND, masks[K4_AND_DIAMOND])
         assert len(plans) == 2 and not free
-        assert all(plan.leaf_start < plan.star_start < len(plan.order) for plan in plans)
+        assert all(plan.starts[-3] < plan.starts[-2] < len(plan.order) for plan in plans)
 
         def count(graph, budget):
             return count_gallai_with_palettes(graph, masks[graph], node_budget=budget)
@@ -314,7 +319,7 @@ class TestGenerators:
         # vertex, so the search branches on no edge: its one leaf sums each
         # of the first edge's 3 colorings, one node apiece
         [plan], _ = gallai.counting._search_plans(complete(3), masks[complete(3)])
-        assert (plan.leaf_start, plan.star_start) == (0, 1)
+        assert plan.starts == [0, 1, 3]
         assert least_budget(count, complete(3)) == 3
         need = least_budget(count, complete(4)) + least_budget(count, DIAMOND)
         assert least_budget(count, K4_AND_DIAMOND) == need
@@ -346,11 +351,13 @@ class TestGenerators:
 
 
 def reference_plan(comp, tri_of_edge, ends, sizes):
-    """The plain greedy: rescore every remaining edge at every step; the star
-    B is the longest suffix at one vertex whose palette sizes fit the table,
-    and the star A before it grows while it is at one vertex, fits the table
-    and closes no triangle with B and an edge before it.  The search narrows
-    only at the positions before A."""
+    """The plain greedy: rescore every remaining edge at every step.  A run
+    order[start:stop] may be a star block when its edges share a vertex,
+    their palette sizes fit the table, and no triangle through its edge at
+    position i has another edge before i and one at stop or later.  B is
+    the longest such suffix and A the longest such run that ends where B
+    starts; more blocks follow backwards while one is found.  Returns the
+    order, the narrowing pairs of the head, and the block bounds."""
     placed, order = set(), []
     remaining = sorted(comp)
     while remaining:
@@ -370,25 +377,24 @@ def reference_plan(comp, tri_of_edge, ends, sizes):
                 pairs.append((lo, hi))
         narrow.append(tuple(pairs))
 
-    def star_fits(run):
+    def block(start, stop):
+        run = order[start:stop]
         at_one_vertex = not run or set.intersection(*(set(ends[e]) for e in run))
-        return bool(at_one_vertex) and \
-            prod(sizes[e] for e in run) <= gallai.counting._STAR_TABLE_BITS
+        return bool(at_one_vertex) \
+            and prod(sizes[e] for e in run) <= gallai.counting._STAR_TABLE_BITS \
+            and not any(min(pos[f], pos[g]) < i and max(pos[f], pos[g]) >= stop
+                        for i in range(start, stop) for f, g in tri_of_edge[order[i]])
 
-    star_start = min(s for s in range(len(order) + 1) if star_fits(order[s:]))
-    star = set(order[star_start:])
+    def longest(stop):
+        return min(start for start in range(stop + 1) if block(start, stop))
 
-    def lead_fits(start):
-        lead = order[start:star_start]
-        closed = all(third in star or third in lead
-                     for e in lead for f, g in tri_of_edge[e]
-                     for other, third in ((f, g), (g, f)) if other in star)
-        return star_fits(lead) and closed
-
-    leaf_start = star_start
-    while leaf_start and lead_fits(leaf_start - 1):
-        leaf_start -= 1
-    return order, narrow[:leaf_start], star_start, leaf_start
+    starts = [len(order)]
+    starts.append(longest(starts[-1]))
+    starts.append(longest(starts[-1]))
+    while starts[-1] < starts[-2] and longest(starts[-1]) < starts[-1]:
+        starts.append(longest(starts[-1]))
+    starts.reverse()
+    return order, narrow[:starts[0]], starts
 
 
 class TestTwoStarLeaf:
@@ -408,12 +414,12 @@ class TestTwoStarLeaf:
             masks = [sum(1 << c for c in rng.sample(range(r), rng.randint(1, r)))
                      for _ in range(m)]
             plans, _ = gallai.counting._search_plans(g, masks)
-            seen["first star"] += any(plan.leaf_start < plan.star_start for plan in plans)
+            seen["first star"] += any(plan.starts[-3] < plan.starts[-2] for plan in plans)
             # a coloring of A that rules out part of B through B's pair rows;
             # a plan with no triangle through both stars has no cross rows
-            seen["cross rows"] += sum(plan.cross is not None and any(
-                plan.cross[s] != plan.star.ones for s in range(plan.lead.ones.bit_length()))
-                                      for plan in plans)
+            seen["cross rows"] += sum(plan.cross[-2] is not None and any(
+                plan.cross[-2][s] != plan.tables[-1].ones
+                for s in range(plan.tables[-2].ones.bit_length())) for plan in plans)
             seen["components"] += len(plans) >= 2
             counts = count_gallai(g, r), count_gallai_with_palettes(g, masks)
             with monkeypatch.context() as patch:
@@ -432,51 +438,73 @@ class TestTwoStarLeaf:
             self, monkeypatch):
         calls = []
         run = gallai.counting._Searcher.run
+        walk = gallai.counting._Searcher.walk
 
         def recording_run(self, pos, k, live):
             calls.append((self.plan, pos, k, live, list(self.cand)))
             return run(self, pos, k, live)
 
+        def recording_walk(self, j, k, live):
+            calls.append((self.plan, ~j, k, live, None))
+            return walk(self, j, k, live)
+
         monkeypatch.setattr(gallai.counting._Searcher, "run", recording_run)
+        monkeypatch.setattr(gallai.counting._Searcher, "walk", recording_walk)
         rng = random.Random(97)
-        seen = {"cut": 0, "naive": 0}
+        seen = {"branch cut": 0, "star cut": 0, "naive": 0}
         for trial in range(120):
             n = rng.randint(4, 6)
             g = random_graph(rng, n) if trial % 2 else complete(n)
             m = g.edge_count
             r = rng.choice((3, 4))
-            # narrow palettes, so many a prefix color leaves B no coloring
-            masks = [sum(1 << c for c in rng.sample(range(r), rng.randint(1, 2)))
-                     for _ in range(m)]
+            # narrow palettes, so many a prefix color leaves B no coloring;
+            # in every sixth trial K6's vertex 4 has 15 of 16 colors on each
+            # edge, too many for one table, so the chain ends there and the
+            # search branches on a head
+            wide = trial % 6 == 0 and n == 6
+            masks = [((1 << 16) - 1) ^ (1 << rng.randrange(16)) if wide and v == 4 else
+                     sum(1 << c for c in rng.sample(range(r), rng.randint(1, 2)))
+                     for u, v in g.edges()]
             calls.clear()
             count = count_gallai_with_palettes(g, masks)
-            # a child of a branching call whose B half is empty is never run
+            # a child of a branching call, or of a star's coloring, whose B
+            # half is empty is never run
             for plan, pos, k, live, cand in calls:
-                keys = plan.keys[pos] if pos < plan.leaf_start else None
-                if keys is not None:
+                if pos >= 0 and plan.steps[pos][2] is not None:
+                    keys = plan.steps[pos][2]
                     colors = cand[plan.order[pos]] & ((2 << k) - 1)
-                    seen["cut"] += sum(live & keys[1 << c] < 1 << plan.shift
-                                       for c in range(colors.bit_length()) if colors >> c & 1)
+                    seen["branch cut"] += sum(live & keys[1 << c] < plan.tops[0]
+                                              for c in range(colors.bit_length())
+                                              if colors >> c & 1)
+                elif pos < 0:
+                    j = ~pos
+                    table, cross = plan.tables[j], plan.cross[j]
+                    rest = live >> table.ones.bit_length()
+                    seen["star cut"] += sum(
+                        (rest if cross is None else rest & cross[s]) < plan.tops[j + 1]
+                        for s in range(table.ones.bit_length()) if live >> s & 1)
             assert count == branching_palette_count(g, masks)
-            if r**m <= 10**6:
+            if max(masks).bit_length()**m <= 10**6:
                 assert count == enumerated_palette_count(g, masks)
                 seen["naive"] += 1
-        assert seen["cut"] >= 30
+        assert seen["branch cut"] >= 100
+        assert seen["star cut"] >= 20
         assert seen["naive"] >= 40
 
     def test_a_child_cut_on_the_packed_row_costs_no_node(self):
-        # K4 in the order 01, then A = (02, 12) at vertex 2 and B = (03, 13,
-        # 23) at vertex 3.  Edge 01 tries its 3 colors, 3 nodes.  03 is 1 and
-        # 13 is 3, so 01 = 2 makes triangle 013 rainbow: B's half of that
-        # child is empty and the child is cut.  01 = 1 and 01 = 3 each leave
-        # A one coloring (02 = 01, 12 = 2), one node per leaf, 5 in all; a
-        # search that ran the cut child to its leaf would charge it a sixth
+        # K4 in the order 01, 02, 12, 03, 13, 23: a chain of three stars, 01
+        # alone, A = (02, 12) at vertex 2 and B = (03, 13, 23) at vertex 3.
+        # The first star iterates its 3 colorings, 3 nodes.  03 is 1 and 13
+        # is 3, so 01 = 2 makes triangle 013 rainbow: B's half of that child
+        # is empty and the child is cut.  01 = 1 and 01 = 3 each leave A one
+        # coloring (02 = 01, 12 = 2), one node per leaf, 5 in all; a search
+        # that ran the cut child to its leaf would charge it a sixth
         g = complete(4)
         masks = [0b111, 0b101, 0b001, 0b010, 0b100, 0b011]
         [plan], _ = gallai.counting._search_plans(g, masks)
         assert [g.edges()[e] for e in plan.order] == [
             (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-        assert (plan.leaf_start, plan.star_start) == (1, 3)
+        assert plan.starts == [0, 1, 3, 6]
 
         def count(graph, budget):
             return count_gallai_with_palettes(graph, masks, node_budget=budget)
@@ -488,7 +516,8 @@ class TestTwoStarLeaf:
     def test_third_rule_cuts_the_first_star_short(self):
         # B is (2, 3) and A is (1, 4).  The edge (1, 3) before A shares its
         # vertex 1 and fits a table, but its triangle with B's edge (2, 3)
-        # has its third edge (1, 2) in the prefix, so A stops
+        # has its third edge (1, 2) in the prefix, so A stops; for the same
+        # reason (1, 3) starts no star before A, and the chain ends
         g = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
         ends = g.edges()
         rng = random.Random(89)
@@ -496,13 +525,99 @@ class TestTwoStarLeaf:
             [plan], _ = gallai.counting._search_plans(g, [(1 << r) - 1] * 7)
             assert [ends[e] for e in plan.order] == [
                 (0, 3), (0, 4), (3, 4), (1, 2), (1, 3), (1, 4), (2, 3)]
-            assert (plan.leaf_start, plan.star_start) == (5, 6)
+            assert plan.starts == [5, 6, 7]
             assert count_gallai(g, r) == count_gallai_naive(g, r)
             for _ in range(10):
                 masks = [sum(1 << c for c in rng.sample(range(r), rng.randint(1, r)))
                          for _ in range(7)]
                 assert count_gallai_with_palettes(g, masks) \
                     == enumerated_palette_count(g, masks) == branching_palette_count(g, masks)
+
+
+class TestChain:
+    """Plans of three stars or more: the search walks the stars before A one
+    star coloring at a time."""
+
+    def test_chains_agree_with_naive_and_plain_branching(self, monkeypatch):
+        rng = random.Random(101)
+        seen = {"chains": 0, "four stars": 0, "naive": 0}
+        for trial in range(150):
+            n = rng.randint(4, 7)
+            g = random_graph(rng, n) if trial % 3 else complete(n)
+            m = g.edge_count
+            r = rng.choice((2, 3, 4))
+            masks = [sum(1 << c for c in rng.sample(range(r), rng.randint(1, r)))
+                     for _ in range(m)]
+            plans, _ = gallai.counting._search_plans(g, masks)
+            if not any(len(plan.tables) > 2 for plan in plans):
+                continue
+            seen["chains"] += 1
+            seen["four stars"] += any(len(plan.tables) > 3 for plan in plans)
+            count = count_gallai_with_palettes(g, masks)
+            assert count == branching_palette_count(g, masks)
+            if r**m <= 10**6:
+                assert count == enumerated_palette_count(g, masks)
+                assert count_gallai(g, r) == count_gallai_naive(g, r)
+                seen["naive"] += 1
+        assert seen["chains"] >= 80
+        assert seen["four stars"] >= 40
+        assert seen["naive"] >= 40
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_complete_graphs_with_full_palettes_match_the_decomposition(self, n):
+        # the palette search breaks no color symmetry, and K7 at r = 5 is a
+        # plan of two stars that branches on 16 edges (32 s), so it is left out
+        for r in range(1, 6):
+            assert count_gallai(complete(n), r) == count_complete(n, r)
+            if (n, r) != (7, 5):
+                masks = [(1 << r) - 1] * comb(n, 2)
+                assert count_gallai_with_palettes(complete(n), masks) == count_complete(n, r)
+
+    # K4 in 4 colors is the stars 01, (02, 12) and (03, 13, 23): 01 iterates
+    # its 4 colorings, and each leaves A 16 - 6 colorings of 02 and 12 that
+    # keep 012 not rainbow, 4 + 4 * 10 nodes.  K5 in 3 colors adds a star:
+    # 01 iterates 3 colorings, each leaves 7 of (02, 12), 21 nodes, and the
+    # leaves sum A's 279 colorings over them, one per Gallai coloring of K4
+    @pytest.mark.parametrize("n, masks, nodes", [
+        (4, [0b1111] * 6, 44),
+        (4, [0b0111, 0b1110, 0b1011, 0b0111, 0b1101, 0b1111], 20),
+        (5, [0b111] * 10, 3 + 21 + 279),
+        (5, [0b0111, 0b1110, 0b1011, 0b0111, 0b1101, 0b1111, 0b0011, 0b1100, 0b0110, 0b1001],
+         129),
+        (5, [0b111, 0b110, 0b011, 0b101, 0b111, 0b010, 0b111, 0b011, 0b110, 0b101], 47)])
+    def test_a_star_before_a_costs_a_node_per_coloring_it_iterates(self, n, masks, nodes):
+        [plan], _ = gallai.counting._search_plans(complete(n), masks)
+        assert plan.starts == [0, 1, 3, 6, 10][:n]
+
+        def count(graph, budget):
+            return count_gallai_with_palettes(graph, masks, node_budget=budget)
+
+        assert least_budget(count, complete(n)) == nodes
+
+    # the least budgets of the search before it chained its stars, which a
+    # plan of two stars charges unchanged
+    @pytest.mark.parametrize("graph, r, nodes", [
+        (complete(5), 10**6, 400), (complete(6), 10**6, 26630), (OCTAHEDRON, 10**6, 4592)])
+    def test_two_star_plans_charge_what_they_did(self, graph, r, nodes):
+        plans, _ = gallai.counting._search_plans(graph, [(1 << graph.edge_count) - 1]
+                                                 * graph.edge_count)
+        assert all(len(plan.tables) == 2 for plan in plans)
+        assert least_budget(lambda g, budget: count_gallai(g, r, node_budget=budget),
+                            graph) == nodes
+
+    THIRD_RULE = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+    WIDE_K6 = [((1 << 16) - 1) ^ (1 << u + 3) if v == 4 else (0b011, 0b110, 0b101)[(u + v) % 3]
+               for u, v in complete(6).edges()]
+
+    @pytest.mark.parametrize("graph, masks, nodes", [
+        (THIRD_RULE, [0b111] * 7, 726),
+        (THIRD_RULE, [0b011, 0b110, 0b111, 0b101, 0b111, 0b011, 0b110], 147),
+        (complete(6), WIDE_K6, 2204)])
+    def test_two_star_palette_plans_charge_what_they_did(self, graph, masks, nodes):
+        plans, _ = gallai.counting._search_plans(graph, masks)
+        assert all(len(plan.tables) == 2 and plan.starts[0] for plan in plans)
+        assert least_budget(lambda g, budget: count_gallai_with_palettes(
+            g, masks, node_budget=budget), graph) == nodes
 
 
 class TestSearchPlan:
@@ -520,7 +635,7 @@ class TestSearchPlan:
             tri_of_edge[bc].append((ab, ac))
         m = len(edges)
 
-        seen = {"leads": 0}
+        seen = {"leads": 0, "chains": 0}
 
         def check(masks):
             sizes = [mask.bit_count() for mask in masks]
@@ -529,14 +644,15 @@ class TestSearchPlan:
             assert free == [e for e in range(m) if not tri_of_edge[e]]
             assert sorted(free + [e for plan in plans for e in plan.order]) == list(range(m))
             for plan in plans:
-                order, narrow, star_start, leaf_start = reference_plan(
+                order, narrow, starts = reference_plan(
                     sorted(plan.order), tri_of_edge, edges, sizes)
                 assert plan.order == order
-                assert plan.narrow == narrow
-                assert plan.star_start == star_start
-                assert plan.leaf_start == leaf_start
-                assert len(plan.star.choices) == len(order) - star_start
-                seen["leads"] += leaf_start < star_start
+                assert [pairs for _, pairs, _, _ in plan.steps] == narrow
+                assert plan.starts == starts
+                assert [len(table.choices) for table in plan.tables] == [
+                    stop - start for start, stop in zip(starts, starts[1:])]
+                seen["leads"] += starts[-3] < starts[-2]
+                seen["chains"] += len(starts) > 3
 
         # palettes of 1..8 colors, so some stars are cut short by the table cap
         rng = random.Random(m)
@@ -544,22 +660,26 @@ class TestSearchPlan:
         # count_gallai plans with full palettes of its window's width
         for r in (3, 5, 10**6):
             check([(1 << min(r, m)) - 1] * m)
-        # every graph here with a triangle has a plan whose star A is not empty
+        # every graph here with a triangle has a plan whose star A is not
+        # empty, and one with a star before A
         assert seen["leads"] >= 1 or not graph.triangles()
+        assert seen["chains"] >= 1 or not graph.triangles()
 
     # K7's last vertex has 6 edges: at r = 5 the table cap keeps 5 of them
     # (5^5 <= 2^12 < 5^6), and at r = 10^6 the width is e = 21, so 2 (21^3 > 2^12).
-    # At r = 3 A is vertex 5's five edges.  At the other two the edge just before
-    # B is vertex 6's (0, 6) or (3, 6), which closes a triangle with an edge of B
-    # and an earlier edge, so A is empty
+    # At r = 3 every vertex star is a block, A is vertex 5's five edges and
+    # the search branches on no edge.  At the other two the edge just before
+    # B is vertex 6's (0, 6) or (3, 6), which closes a triangle with an edge
+    # of B and an earlier edge, so A is empty and the chain ends there
     @pytest.mark.parametrize("r, star_edges", [(3, 6), (5, 5), (10**6, 2)])
     def test_count_gallai_star_is_cut_by_the_table_cap(self, r, star_edges):
         [plan], _ = gallai.counting._search_plans(complete(7), [(1 << min(r, 21)) - 1] * 21)
-        assert len(plan.order) - plan.star_start == star_edges
-        assert len(plan.star.choices) == star_edges
-        lead_edges = {3: 5, 5: 0, 10**6: 0}[r]
-        assert plan.star_start - plan.leaf_start == lead_edges
-        assert len(plan.lead.choices) == lead_edges
+        blocks = {3: [1, 2, 3, 4, 5, 6], 5: [0, 5], 10**6: [0, 2]}[r]
+        assert blocks[-1] == star_edges
+        starts = plan.starts
+        assert [stop - start for start, stop in zip(starts, starts[1:])] == blocks
+        assert starts[0] == 21 - sum(blocks)
+        assert [len(table.choices) for table in plan.tables] == blocks
 
     def test_component_deeper_than_the_stack_is_a_budget_error(self):
         # the search recurses once per edge; K70 has 2415 edges in one component
@@ -848,7 +968,7 @@ class TestPaletteCounting:
                  sum(1 << c for c in rng.sample(range(16), rng.randint(1, 2)))
                  for u, v in g.edges()]
         [plan], _ = gallai.counting._search_plans(g, masks)
-        assert len(plan.order) - plan.star_start == 3
+        assert len(plan.order) - plan.starts[-2] == 3
         assert narrowed_star(plan, g.edges())
         assert count_gallai_with_palettes(g, masks) == branching_palette_count(g, masks)
 
@@ -859,7 +979,7 @@ def branching_palette_count(graph, masks):
         # not even a star of one-color palettes fits a table of no bits
         patch.setattr(gallai.counting, "_STAR_TABLE_BITS", 0)
         plans, free = gallai.counting._search_plans(graph, masks)
-    assert all(plan.leaf_start == len(plan.order) for plan in plans)
+    assert all(plan.starts[0] == len(plan.order) for plan in plans)
     start = max(masks).bit_length()
     searcher = gallai.counting._Searcher(masks, 10**9, {start: 1})
     return searcher.count(plans, start) * prod(masks[e].bit_count() for e in free)
@@ -872,13 +992,13 @@ def enumerated_palette_count(graph, masks):
 
 
 def narrowed_star(plan, ends):
-    """True when an edge at the star's vertex precedes both stars in the
-    plan, so the prefix can narrow the star's candidates."""
-    star = plan.order[plan.star_start:]
+    """True when an edge at the last star's vertex lies in the head of the
+    plan, so the head can narrow the star's candidates."""
+    star = plan.order[plan.starts[-2]:]
     if len(star) < 2:
         return False
     [vertex] = set.intersection(*(set(ends[e]) for e in star))
-    return any(vertex in ends[e] for e in plan.order[:plan.leaf_start])
+    return any(vertex in ends[e] for e in plan.order[:plan.starts[0]])
 
 
 class TestMatchingAndDeviation:

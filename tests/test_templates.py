@@ -234,7 +234,8 @@ class TestClassification:
                 tally = dict.fromkeys(("T1", "T2", "T3", "T4", "T5"), 0)
                 for a, b, c in itertools.combinations(range(n), 3):
                     masks = (t.palette(a, b), t.palette(a, c), t.palette(b, c))
-                    tally[classify[mode](tuple(m.bit_count() for m in masks), masks)] += 1
+                    tally[classify[mode](tuple(m.bit_count() for m in masks),
+                                         masks[0] == masks[1] == masks[2])] += 1
                 assert classify_triangles(t, mode).as_dict() == tally
 
     def test_complete_mode_never_uses_t5(self):
